@@ -7,18 +7,17 @@ Exit codes are the machine contract: 0 success / claims verified,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
 
-import numpy as np
-
-from . import config
+from . import claims, config
 from .certificates import Certificate, verify_certificate
 from .errors import BudgetExceeded, RanksatError
-from .gf import field_create
-from .linset import Point, is_h_scattered, is_scattered, linear_set
+from .gf import field_create, prime_power
+from .linset import is_h_scattered, is_scattered
 from .rankcov import (
     code_from_system,
     covering_radius,
@@ -35,26 +34,15 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _prime_factor(q: int) -> tuple[int, int]:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    e = 0
-    qq = q
-    while qq > 1:
-        if qq % p:
-            raise argparse.ArgumentTypeError(f"q={q} is not a prime power")
-        qq //= p
-        e += 1
-    return p, e
+def _prime_power(q: int) -> tuple[int, int]:
+    pp = prime_power(q)
+    if pp is None:
+        raise argparse.ArgumentTypeError(f"q={q} is not a prime power")
+    return pp
 
 
 def _field_from_args(args):
-    p, a = _prime_factor(args.q)
+    p, a = _prime_power(args.q)
     if getattr(args, "a", None) not in (None, 0) and args.a != a:
         raise argparse.ArgumentTypeError(
             f"--a {args.a} inconsistent with q={args.q} = {p}^{a}")
@@ -178,6 +166,7 @@ def _cmd_covrad(args):
 
 
 def _cmd_bounds(args):
+    _prime_power(args.q)
     lo = lower_bound(args.q, args.m, args.k, args.rho)
     hi = upper_bound(args.m, args.k, args.rho)
     print(f"lower {lo}")
@@ -218,7 +207,6 @@ def _cmd_search(args):
 
 
 def _cmd_appendix(args):
-    from .constructions import normalized_alphas, normalized_betas
     from .identities import (AppendixContext, delta_sets, gamma_set,
                              verify_delta_unsaturated, verify_gamma_unsaturated,
                              verify_identities)
@@ -275,172 +263,28 @@ def _cmd_verify_cert(args):
 # reproduce suites
 # ----------------------------------------------------------------------
 
-def _suite_bounds_table(args):
-    from .search import search_table
-    claims = []
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        for m in range(2, 11):
-            for k in range(2, 9):
-                for rho in range(1, min(k, m) + 1):
-                    kv = known_value(q, m, k, rho)
-                    if kv is None:
-                        continue
-                    lo = lower_bound(q, m, k, rho)
-                    hi = upper_bound(m, k, rho)
-                    claims.append((f"bounds q={q} m={m} k={k} rho={rho}",
-                                   lo <= kv.lo <= kv.hi <= hi))
-    fld = field_create(2, 1, 2)
-    table = search_table(fld, 3)
-    s = {kr: v for kr, v in table.items() if v is not None}
-    mono = []
-    for (k, rho), v in s.items():
-        if (k, rho + 1) in s:
-            mono.append(("monotone rho", s[(k, rho + 1)] <= v))
-        if (k + 1, rho) in s:
-            mono.append(("strict in k", v < s[(k + 1, rho)]))
-        if (k + 1, rho + 1) in s:
-            mono.append(("diagonal", s[(k + 1, rho + 1)] <= v + 1))
-        for (k2, rho2), v2 in s.items():
-            if (k + k2, rho + rho2) in s:
-                mono.append(("subadditive",
-                             s[(k + k2, rho + rho2)] <= v + v2))
-    claims.extend(mono)
-    return claims
-
-
-def _suite_moore_grid(args):
-    from .constructions import MooreParams, moore_system
-    grid = [(2, 1, 2, 2, 2), (2, 1, 3, 2, 2), (3, 1, 2, 2, 2),
-            (2, 1, 4, 2, 2), (2, 1, 3, 3, 2), (2, 2, 3, 2, 2)]
-    claims = []
-    for (p, a, m, rho, t) in grid:
-        fld = field_create(p, a, m)
-        u = moore_system(MooreParams(fld, rho, t))
-        ok_rank = u.rank == m * (t - 1) + rho
-        ok_idx = saturating_index(u) == rho
-        claims.append((f"moore q={fld.q} m={m} rho={rho} t={t} rank", ok_rank))
-        claims.append((f"moore q={fld.q} m={m} rho={rho} t={t} index", ok_idx))
-    return claims
-
-
-def _suite_hscattered(args):
-    from .constructions import hscattered_moore
-    from .linset import max_h_scattered_bound
-    claims = []
-    for (p, a, m, h, t) in ((2, 1, 3, 1, 1), (3, 1, 3, 1, 1),
-                            (2, 1, 4, 2, 1), (2, 1, 4, 1, 2)):
-        fld = field_create(p, a, m)
-        u = hscattered_moore(fld, h, t)
-        k = (h + 1) * t
-        ok_rank = u.rank == max_h_scattered_bound(k, m, h)
-        ok_scat, _w = is_h_scattered(u, h)
-        claims.append((f"hscattered q={fld.q} m={m} h={h} t={t} rank", ok_rank))
-        claims.append((f"hscattered q={fld.q} m={m} h={h} t={t} verdict", ok_scat))
-    return claims
-
-
-def _suite_case_sweep(args):
-    from .constructions import case_system, normalized_alphas, normalized_pairs
-    from .identities import case3_witness
-    from .rankcov import one_saturated
-    q = args.q or 2
-    p, a = _prime_factor(q)
-    fld = field_create(p, a, 4)
-    claims = []
-    u1 = case_system(fld, 1)
-    ls1 = linear_set(u1)
-    claims.append((f"case1 q={q} (0:0:1) unsaturated",
-                   not one_saturated(fld, ls1.points, Point(fld, (0, 0, 1)))))
-    u2 = case_system(fld, 2, alpha=fld.generator)
-    ls2 = linear_set(u2)
-    claims.append((f"case2 q={q} (0:1:0) unsaturated",
-                   not one_saturated(fld, ls2.points, Point(fld, (0, 1, 0)))))
-    for alpha in normalized_alphas(fld):
-        rep = case3_witness(fld, alpha)
-        claims.append((f"case3 q={q} alpha={alpha}", rep.ok))
-    for alpha, beta in normalized_pairs(fld):
-        u = case_system(fld, 4, alpha=alpha, beta=beta)
-        claims.append((f"case4 q={q} alpha={alpha} beta={beta} not 2-saturating",
-                       not is_rank_saturating(u, 2)))
-    return claims
-
-
-def _suite_appendix(args, q):
-    from .constructions import normalized_alphas, normalized_betas
-    from .identities import (AppendixContext, gamma_set, verify_gamma_unsaturated,
-                             verify_identities)
-    p, a = _prime_factor(q)
-    fld = field_create(p, a, 4)
-    claims = []
-    rng = np.random.default_rng(7)
-    for alpha in normalized_alphas(fld):
-        for beta in normalized_betas(fld):
-            ctx = AppendixContext(fld, alpha, beta)
-            if q == 2:
-                cs = range(fld.order)
-            else:
-                cs = sorted(int(v) for v in
-                            rng.choice(fld.order, size=64, replace=False))
-            bad = 0
-            for c in cs:
-                rep = verify_identities(ctx, c, numeric=True)
-                bad += not rep.ok_derived
-            claims.append((f"identities q={q} alpha={alpha} beta={beta}", bad == 0))
-            if alpha != 1:
-                grep = verify_gamma_unsaturated(ctx)
-                claims.append((f"gamma-unsat q={q} alpha={alpha} beta={beta} "
-                               f"size={len(grep.gamma)}", grep.ok))
-    return claims
-
-
-def _suite_delta_q64(args):
-    from .identities import delta_sets, verify_delta_unsaturated
-    fld = field_create(2, 6, 4, table_threshold=1 << 24)
-    claims = []
-    betas = fld.subfield_elements("mid")[1:]
-    sizes = {}
-    for beta in betas:
-        d0 = delta_sets(fld, beta, 0)
-        sizes[beta] = len(d0)
-        claims.append((f"delta0 beta={beta} nonempty", len(d0) > 0))
-    sample = list(betas)[:: max(1, len(betas) // 5)][:5]
-    for beta in sample:
-        for z in delta_sets(fld, beta, 0):
-            rep = verify_delta_unsaturated(fld, beta, 0, z, strict=False)
-            claims.append((f"delta0 beta={beta} z={z} scattered", rep.scattered))
-    return claims
-
-
-def _suite_search_q2m4(args):
-    from .search import SearchTask, min_rank_search
-    fld = field_create(2, 1, 4)
-    res = min_rank_search(SearchTask(fld, 3, 2, 4, 5, reduction="canonical"))
-    claims = [("search q=2 m=4 k=3 rho=2 rank4 none",
-               res.outcomes[0].found is None),
-              ("search q=2 m=4 k=3 rho=2 value", res.value == 5)]
-    print(f"s = {res.value}")
-    return claims
-
-
+# each suite chains claim batches from ranksat.claims; --q picks the field
+# of the case sweep
 _SUITES = {
-    "bounds-table": _suite_bounds_table,
-    "moore-grid": _suite_moore_grid,
-    "hscattered": _suite_hscattered,
-    "case-sweep": _suite_case_sweep,
-    "appendix-q2": lambda args: _suite_appendix(args, 2),
-    "appendix-q4": lambda args: _suite_appendix(args, 4),
-    "delta-q64": _suite_delta_q64,
-    "search-q2m4": _suite_search_q2m4,
+    "bounds-table": lambda q: claims.bounds_table(),
+    "moore-grid": lambda q: claims.moore_grid(),
+    "hscattered": lambda q: claims.hscattered_grid(),
+    "case-sweep": lambda q: claims.case_sweep(q or 2),
+    "appendix-q2": lambda q: itertools.chain(claims.appendix_identities(2),
+                                             claims.gamma(2)),
+    "appendix-q4": lambda q: itertools.chain(claims.appendix_identities(4),
+                                             claims.gamma(4)),
+    "delta-q64": lambda q: claims.delta_q64(),
+    "search-q2m4": lambda q: claims.headline_search(),
 }
 
 
 def _cmd_reproduce(args):
-    suite = _SUITES[args.suite]
     t0 = time.time()
-    claims = suite(args)
-    n_fail = 0
+    n_claims = n_fail = 0
     cert_dir = args.cert_dir or os.environ.get("RANKSAT_OUT", "")
-    for i, (label, good) in enumerate(claims):
+    for i, (label, good) in enumerate(_SUITES[args.suite](args.q)):
+        n_claims += 1
         print(f"{'PASS' if good else 'FAIL'} {label}")
         n_fail += not good
         if cert_dir:
@@ -448,7 +292,7 @@ def _cmd_reproduce(args):
             cert.add_claim("suite", name=args.suite, index=i,
                            label=label.replace(" ", "_"), result=bool(good))
             cert.write(os.path.join(cert_dir, f"{args.suite}-{i:04d}.cert"))
-    print(f"{len(claims) - n_fail}/{len(claims)} claims pass "
+    print(f"{n_claims - n_fail}/{n_claims} claims pass "
           f"({time.time() - t0:.1f}s)")
     return EXIT_OK if n_fail == 0 else EXIT_FALSIFIED
 

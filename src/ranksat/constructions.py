@@ -9,8 +9,9 @@ returned witness is re-verified by an independent membership check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     InternalInconsistency,
@@ -20,14 +21,8 @@ from .errors import (
     ShiftNotCoprime,
 )
 from .gf import Field
-from .linalg import System, fqm_rank, fq_span_dim, system_create
+from .linalg import System, fqm_rank, fq_span_dim, solve, system_create
 from .linset import is_scattered
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,7 @@ class MooreParams:
         if len(shifts) != self.t - 1:
             raise InvalidParams(f"need {self.t - 1} shifts, got {len(shifts)}")
         for s in shifts:
-            if _gcd(self.field.m, s) != 1:
+            if math.gcd(self.field.m, s) != 1:
                 raise ShiftNotCoprime(f"gcd(m={self.field.m}, s={s}) != 1")
         object.__setattr__(self, "shifts", tuple(shifts))
 
@@ -79,39 +74,6 @@ def moore_system(params: MooreParams) -> System:
     if u.rank != expect:
         raise InternalInconsistency(f"moore rank {u.rank} != {expect}")
     return u
-
-
-def _solve_fq(field: Field, cols: Sequence[Sequence[int]],
-              target: Sequence[int]) -> Optional[list[int]]:
-    """Solve sum_i x_i * cols[i] = target over F_q, or None if inconsistent."""
-    n = len(cols)
-    rows = len(target)
-    aug = [[cols[i][r] for i in range(n)] + [target[r]] for r in range(rows)]
-    red = []
-    rank = 0
-    where = [-1] * n
-    for col in range(n):
-        piv = next((r for r in range(rank, rows) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        s = field.inv(aug[rank][col])
-        aug[rank] = [field.mul(s, v) for v in aug[rank]]
-        for r in range(rows):
-            if r != rank and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [field.sub(v, field.mul(c, w))
-                          for v, w in zip(aug[r], aug[rank])]
-        where[col] = rank
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r][n]:
-            return None
-    sol = [0] * n
-    for col in range(n):
-        if where[col] >= 0:
-            sol[col] = aug[where[col]][n]
-    return sol
 
 
 def contains_vector(u: System, vec: Sequence[int]) -> bool:
@@ -173,7 +135,7 @@ def moore_saturate_witness(params: MooreParams, v: Sequence[int]) -> list[tuple[
     for l in range(rho):
         if l in idx:
             continue
-        alpha = _solve_fq(fld, [lam_cols[h] for h in range(s)],
+        alpha = solve(fld, [lam_cols[h] for h in range(s)],
                           list(fld.fq_coords(tail[l])))
         if alpha is None:
             raise InternalInconsistency("tail dependency solve failed")
@@ -195,7 +157,7 @@ def moore_saturate_witness(params: MooreParams, v: Sequence[int]) -> list[tuple[
         target = []
         for l in range(rho):
             target.extend(fld.fq_coords(y[l]))
-        sol = _solve_fq(fld, cols, target)
+        sol = solve(fld, cols, target)
         if sol is None:
             raise InternalInconsistency("Moore block solve failed")
         xs = []

@@ -98,18 +98,7 @@ def _poly_gcd(f, g, p):
     return f
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
-def _factor(n: int) -> list[int]:
+def prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division (n < 2^32 here)."""
     out = []
     i = 2
@@ -122,6 +111,22 @@ def _factor(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power(q: int) -> Optional[tuple[int, int]]:
+    """(p, e) with q = p^e for a prime p, or None when q is no prime power."""
+    fac = prime_factors(q)
+    if len(fac) != 1:
+        return None
+    p, e = fac[0], 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e
+
+
+def _is_prime(n: int) -> bool:
+    return prime_power(n) == (n, 1)
 
 
 class BitLinearMap:
@@ -234,10 +239,10 @@ class Field:
         n = self._group_order
         if n == 1:
             return 1
-        prime_factors = _factor(n)
+        factors = prime_factors(n)
         z = 2
         while z < self.order:
-            if all(self._pow_raw(z, n // ell) != 1 for ell in prime_factors):
+            if all(self._pow_raw(z, n // ell) != 1 for ell in factors):
                 return z
             z += 1
         raise InternalInconsistency("no multiplicative generator found")
@@ -481,17 +486,6 @@ class Field:
             return self._pow_raw(z, e)
         return int(self._exp[(int(self._log[z]) * e) % n])
 
-    def arith(self, op: str, lhs: int, rhs: int) -> int:
-        """Dispatcher over {add, sub, mul, div, pow, neg}."""
-        self.check(lhs)
-        if op == "neg":
-            return self.neg(lhs)
-        if op == "pow":
-            return self.pow(lhs, rhs)
-        self.check(rhs)
-        return {"add": self.add, "sub": self.sub,
-                "mul": self.mul, "div": self.div}[op](lhs, rhs)
-
     def frobenius(self, z: int, i: int) -> int:
         """z^(q^i) with i normalized mod m (negative i = q-th root iteration)."""
         return self.pow(z, self.q ** (i % self.m))
@@ -608,9 +602,6 @@ class Field:
                 "vectorized operations need log tables; "
                 "recreate the field with a larger table_threshold")
 
-    def varr(self, seq) -> np.ndarray:
-        return np.asarray(seq, dtype=np.int64)
-
     def vadd(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return x ^ y
@@ -655,9 +646,6 @@ class Field:
             raise DivisionByZero("vectorized inverse of zero")
         n = self._group_order
         return self._exp[(n - self._log[x]) % n]
-
-    def vdiv(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.vmul(x, self.vinv(y))
 
     def vpow(self, x: np.ndarray, e: int) -> np.ndarray:
         """Elementwise x^e; e is reduced mod the group order on nonzeros."""

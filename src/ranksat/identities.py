@@ -35,7 +35,7 @@ from .errors import (
     UnknownName,
 )
 from .gf import Field
-from .linalg import system_create
+from .linalg import solve, system_create
 from .linpoly import LinPoly, det_vec
 from .linset import Point, linear_set
 from .rankcov import one_saturated
@@ -859,38 +859,6 @@ class IdentityReport:
         return all(v == "ok" or v == "n/a" for v in self.checks.values())
 
 
-def _solve_field_linear(fld: Field, cols: list[list[int]],
-                        target: list[int]) -> Optional[list[int]]:
-    """Solve sum x_i cols[i] = target over the big field, None if inconsistent."""
-    n = len(cols)
-    rows = len(target)
-    aug = [[cols[i][r] for i in range(n)] + [target[r]] for r in range(rows)]
-    rank = 0
-    where = [-1] * n
-    for col in range(n):
-        piv = next((r for r in range(rank, rows) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        s = fld.inv(aug[rank][col])
-        aug[rank] = [fld.mul(s, v) for v in aug[rank]]
-        for r in range(rows):
-            if r != rank and aug[r][col]:
-                cc = aug[r][col]
-                aug[r] = [fld.sub(v, fld.mul(cc, w))
-                          for v, w in zip(aug[r], aug[rank])]
-        where[col] = rank
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r][n]:
-            return None
-    sol = [0] * n
-    for col in range(n):
-        if where[col] >= 0:
-            sol[col] = aug[where[col]][n]
-    return sol
-
-
 def _divide_cofactor(ctx: AppendixContext, c: int, apoly: QPoly,
                      shift_exp: int) -> Optional[dict[int, int]]:
     """Exact division A = fac(y) * y^shift * L with L a 10-term form.
@@ -910,7 +878,7 @@ def _divide_cofactor(ctx: AppendixContext, c: int, apoly: QPoly,
     basis = sorted(keys)
     cols = [[prod.terms.get(k, 0) for k in basis] for prod in prods]
     target = [apoly.terms.get(k, 0) for k in basis]
-    sol = _solve_field_linear(fld, cols, target)
+    sol = solve(fld, cols, target)
     if sol is None:
         return None
     return {e: v for e, v in zip(exps, sol)}
@@ -1376,7 +1344,6 @@ def case3_witness(fld: Field, alpha: int) -> Case3Report:
 def _case3_unique_weight2(fld: Field) -> bool:
     """Projected system {(x^q + x^{q^3}, x^{q^2})}: exactly one weight-2
     point, namely (0:1), everything else weight 1."""
-    from .linalg import system_create
     gens = [(fld.add(fld.frobenius(b, 1), fld.frobenius(b, 3)), fld.frobenius(b, 2))
             for b in fld.power_basis]
     proj = system_create(fld, 2, gens)

@@ -35,33 +35,81 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# scalar RREF over F_q (entries are middle-subfield encodings)
+# scalar elimination: RREF, linear solves and determinants
 # ----------------------------------------------------------------------
+
+def _eliminate(field: Field, rows: list[list[int]], ncols: int,
+               want_det: bool = False) -> tuple[int, list[int], int]:
+    """Gauss-Jordan elimination in place, pivoting on the first ncols columns.
+
+    Returns (rank, pivot columns, d): rows[:rank] are then the reduced pivot
+    rows, and with want_det, d is the product of the pivots times the sign
+    of the row swaps (the determinant when the input is square of full rank).
+    """
+    mul, sub = field.mul, field.sub
+    nrows = len(rows)
+    pivots: list[int] = []
+    d = 1
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            if want_det:
+                d = field.neg(d)
+        prow = rows[rank]
+        a = prow[col]
+        if want_det:
+            d = mul(d, a)
+        if a != 1:
+            s = field.inv(a)
+            prow = rows[rank] = [mul(v, s) for v in prow]
+        for r in range(nrows):
+            if r != rank:
+                c = rows[r][col]
+                if c:
+                    rows[r] = [sub(v, mul(c, w)) for v, w in zip(rows[r], prow)]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, pivots, d
+
 
 def fq_rref(field: Field, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Reduced row echelon form over F_q; zero rows dropped."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return []
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        s = field.inv(rows[rank][col])
-        if s != 1:
-            rows[rank] = [field.mul(v, s) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [field.sub(v, field.mul(c, w))
-                           for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return [r for r in rows[:rank] if any(r)]
+    rank, _, _ = _eliminate(field, rows, len(rows[0]))
+    return rows[:rank]
+
+
+def solve(field: Field, cols: Sequence[Sequence[int]],
+          target: Sequence[int]) -> Optional[list[int]]:
+    """A solution x of sum_i x_i * cols[i] = target, or None if inconsistent.
+
+    The particular solution: pivot variables are read from the reduced
+    target column and free variables are 0.
+    """
+    n = len(cols)
+    aug = [[col[r] for col in cols] + [t] for r, t in enumerate(target)]
+    rank, pivots, _ = _eliminate(field, aug, n)
+    if any(row[n] for row in aug[rank:]):
+        return None
+    sol = [0] * n
+    for row, col in zip(aug, pivots):
+        sol[col] = row[n]
+    return sol
+
+
+def det(field: Field, mat: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square matrix over the big field."""
+    rows = [list(r) for r in mat]
+    rank, _, d = _eliminate(field, rows, len(rows), want_det=True)
+    return d if rank == len(rows) else 0
 
 
 def fq_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
@@ -225,11 +273,6 @@ def system_create(field: Field, k: int, generators: Iterable[Sequence[int]]) -> 
             field.check(z)
         rows.append(expand_vector(field, g))
     return System(field, k, fq_rref(field, rows))
-
-
-def system_sum(u: System, v: System) -> System:
-    u.field.require_same(v.field)
-    return System(u.field, u.k, fq_rref(u.field, list(u.canonical) + list(v.canonical)))
 
 
 class FqmSubspace:

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf import Field
-from .linalg import fq_rank
+from .linalg import det, fq_rank
 
 
 class LinPoly:
@@ -61,31 +61,7 @@ class LinPoly:
                 for i in range(m)]
 
     def dickson_det(self) -> int:
-        return det_scalar(self.field, self.dickson_matrix())
-
-    def is_bijective(self) -> bool:
-        return self.kernel_dim() == 0
-
-
-def det_scalar(field: Field, mat: list[list[int]]) -> int:
-    """Determinant over the big field by fraction-free moves (char-agnostic)."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = field.neg(det)
-        det = field.mul(det, a[col][col])
-        inv = field.inv(a[col][col])
-        for r in range(col + 1, n):
-            if a[r][col]:
-                c = field.mul(a[r][col], inv)
-                a[r] = [field.sub(v, field.mul(c, w)) for v, w in zip(a[r], a[col])]
-    return det
+        return det(self.field, self.dickson_matrix())
 
 
 def det_vec(field: Field, mat: list[list[np.ndarray]]) -> np.ndarray:

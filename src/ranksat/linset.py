@@ -28,6 +28,7 @@ from .linalg import (
     fqm_rank,
     fqm_subspace,
     gaussian_binomial,
+    solve,
     spans_ambient,
     system_create,
 )
@@ -285,7 +286,9 @@ def project(u: System, center: Point, hyperplane: FqmSubspace) -> System:
     cols = hrows + [list(center.coords)]
     images = []
     for gen in u.basis:
-        sol = _solve_fqm(field, cols, list(gen))
+        sol = solve(field, cols, list(gen))
+        if sol is None:
+            raise FieldMismatch("projection solve inconsistent")
         images.append(sol[:k - 1])
     out = system_create(field, k - 1, images)
     assert out.rank == u.rank, "projection from a weight-0 center preserves rank"
@@ -297,35 +300,3 @@ def coordinate_hyperplane_avoiding(field: Field, k: int, center: Point) -> FqmSu
     lead = next(i for i, z in enumerate(center.coords) if z)
     rows = [[1 if j == t else 0 for j in range(k)] for t in range(k) if t != lead]
     return fqm_subspace(field, k, rows)
-
-
-def _solve_fqm(field: Field, basis_rows, target):
-    """Solve sum_i a_i basis_rows[i] = target over F_{q^m} (unique solution)."""
-    n = len(basis_rows)
-    k = len(target)
-    aug = [[basis_rows[i][j] for i in range(n)] + [target[j]] for j in range(k)]
-    rank = 0
-    where = [-1] * n
-    for col in range(n):
-        piv = next((r for r in range(rank, k) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        s = field.inv(aug[rank][col])
-        aug[rank] = [field.mul(s, v) for v in aug[rank]]
-        for r in range(k):
-            if r != rank and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [field.sub(v, field.mul(c, w))
-                          for v, w in zip(aug[r], aug[rank])]
-        where[col] = rank
-        rank += 1
-    sol = [0] * n
-    for col in range(n):
-        if where[col] >= 0:
-            sol[col] = aug[where[col]][n]
-    # consistency: rows beyond rank must be zero
-    for r in range(rank, k):
-        if aug[r][n]:
-            raise FieldMismatch("projection solve inconsistent")
-    return sol

@@ -9,6 +9,7 @@ against the frozen level-rho bitmap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import config
 from .errors import BudgetExceeded, FieldMismatch, InvalidRho
-from .gf import Field
+from .gf import Field, prime_factors, prime_power
 from .linalg import (
     System,
     fq_rank_batch,
@@ -102,10 +103,6 @@ class SaturationReport:
     rho: Optional[int]
     witnesses: dict[int, Point]
     coverage: dict[int, int]
-
-    @property
-    def rho_at_most(self) -> Optional[int]:
-        return self.rho
 
 
 def saturation_report(u: System, budget: Optional[int] = None,
@@ -389,32 +386,6 @@ class KnownValue:
     source: str
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _prime_power(q: int) -> Optional[tuple[int, int]]:
-    fac = _prime_factors(q)
-    if len(fac) != 1:
-        return None
-    p = fac[0]
-    e = 0
-    while q > 1:
-        q //= p
-        e += 1
-    return p, e
-
-
 def known_value(q: int, m: int, k: int, rho: int) -> Optional[KnownValue]:
     """Conclusion-table rows with their applicability conditions evaluated.
 
@@ -423,7 +394,7 @@ def known_value(q: int, m: int, k: int, rho: int) -> Optional[KnownValue]:
     """
     _check_rho(k, m, rho)
     rows: list[KnownValue] = []
-    pp = _prime_power(q)
+    pp = prime_power(q)
 
     if rho >= 1 and k % rho == 0:
         t = k // rho
@@ -442,7 +413,7 @@ def known_value(q: int, m: int, k: int, rho: int) -> Optional[KnownValue]:
         r = m // 2
         if r >= 4 and r % 6 not in (3, 5):
             rows.append(KnownValue(r + 2, r + 2, "m=2r,r!=3,5 mod 6"))
-        if r % 2 == 1 and all(p > q * q - q + 1 for p in _prime_factors(r)):
+        if r % 2 == 1 and all(p > q * q - q + 1 for p in prime_factors(r)):
             rows.append(KnownValue(r + 2, r + 2, "m=2r,gcd-factorial"))
         if r % 2 == 1 and pp is not None:
             p, e = pp
@@ -453,7 +424,7 @@ def known_value(q: int, m: int, k: int, rho: int) -> Optional[KnownValue]:
                                    "m=2r upper r+3"))
     if m == 10 and k == 3 and rho == 2 and pp is not None:
         p, e = pp
-        if (p in (2, 3) and _gcd(e % 15, 15) == 1) or (p == 5 and e % 15 == 1):
+        if (p in (2, 3) and math.gcd(e % 15, 15) == 1) or (p == 5 and e % 15 == 1):
             rows.append(KnownValue(7, 7, "m=10 tower"))
         if (p % 2 == 1 and q % 5 in (2, 3)) or (p == 2 and e % 2 == 1 and e >= 3):
             rows.append(KnownValue(7, 7, "m=10 q form"))
@@ -506,8 +477,3 @@ def known_value(q: int, m: int, k: int, rho: int) -> Optional[KnownValue]:
     src = ";".join(sorted({r.source for r in rows if r.lo == lo or r.hi == hi}))
     return KnownValue(lo, hi, src)
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

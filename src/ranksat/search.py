@@ -20,7 +20,7 @@ from . import config
 from .errors import BudgetExceeded, InvalidParams
 from .gf import Field
 from .linalg import System, fqm_rref, gaussian_binomial, system_create
-from .rankcov import is_rank_saturating
+from .rankcov import _check_rho, is_rank_saturating
 
 
 def _enc_vector(field: Field, vec: Sequence[int]) -> int:
@@ -73,14 +73,15 @@ class _VecOps:
                     if v != low:
                         t[v] = t[v ^ low] ^ t[low]
                 self.tables.append(t)
-            self.add = lambda a, b: a ^ b
+            self.add = self.sub = lambda a, b: a ^ b
         else:
-            self.add = self._slow_add
+            self.add = lambda a, b: self._slow_op(field.add, a, b)
+            self.sub = lambda a, b: self._slow_op(field.sub, a, b)
 
-    def _slow_add(self, a: int, b: int) -> int:
+    def _slow_op(self, op, a: int, b: int) -> int:
         field, k = self.field, self.k
         va, vb = _dec_vector(field, a, k), _dec_vector(field, b, k)
-        return _enc_vector(field, tuple(field.add(x, y) for x, y in zip(va, vb)))
+        return _enc_vector(field, tuple(op(x, y) for x, y in zip(va, vb)))
 
     def scmul(self, c: int, venc: int) -> int:
         if self.fast:
@@ -126,7 +127,7 @@ class _Chart:
         for row, irow, piv in zip(self.rows, self.imgs, self.pivots):
             c = ops.coord(venc, piv)
             if c:
-                venc = ops.add(venc, ops.scmul(c, row))
+                venc = ops.sub(venc, ops.scmul(c, row))
                 img = ops.add(img, ops.scmul(c, irow))
         return venc, img
 
@@ -138,7 +139,7 @@ class _Chart:
         ops = self.ops
         field = ops.field
         res, img = self.reduce(uenc)
-        wres = ops.add(wenc, img)
+        wres = ops.sub(wenc, img)
         piv = next(i for i in range(ops.k) if ops.coord(res, i))
         inv = field.inv(ops.coord(res, piv))
         return _Chart(ops, self.rows + (ops.scmul(inv, res),),
@@ -170,7 +171,7 @@ class _ImageSpan:
         for row, piv in zip(self.rows, self.pivots):
             c = ops.coord(venc, piv)
             if c:
-                venc = ops.add(venc, ops.scmul(c, row))
+                venc = ops.sub(venc, ops.scmul(c, row))
         return venc
 
     def span_set(self) -> set:
@@ -244,7 +245,9 @@ def _gl_minimal_key(u: System, ub=None) -> Optional[tuple[int, ...]]:
         last = best_val
         cands = best
         if len(cands) > 64:
-            cands = dict(sorted(cands.items())[:64])
+            # None (an unset image) orders below every encoding
+            cands = dict(sorted(cands.items(), key=lambda kv: tuple(
+                -1 if v is None else v for v in kv[0]))[:64])
     return tuple(out)
 
 
@@ -261,7 +264,7 @@ def _pin_minimal(chart, ispan, s, svecs, img_vals, last, bound):
             continue
         tres, timg = chart.reduce(t)
         c = field.mul(ops.coord(tres, spiv), sinv)
-        if ops.add(tres, ops.scmul(c, sres)) == 0:
+        if ops.sub(tres, ops.scmul(c, sres)) == 0:
             deps.append((timg, c))
     v = last + 1
     limit = ops.space
@@ -377,12 +380,8 @@ def enumerate_rank_subspaces(field: Field, k: int, r: int,
             for (i, j) in free:
                 rows[i][j] = mids[v % q]
                 v //= q
-            vecs = []
-            for row in rows:
-                vec = [field.from_fq_coords(row[t * field.m:(t + 1) * field.m])
-                       for t in range(k)]
-                vecs.append(vec)
-            yield system_create(field, k, vecs)
+            # the rows are already the canonical F_q-RREF
+            yield System(field, k, rows)
 
 
 def graph_form_enumerate(field: Field, complete: bool = False,
@@ -461,6 +460,7 @@ class SearchTask:
     checkpoint: Optional[str] = None
 
     def __post_init__(self):
+        _check_rho(self.k, self.field.m, self.rho)
         if self.rank_lo < self.rho:
             raise InvalidParams("rank range must start at rho or above")
         if self.reduction not in ("naive", "canonical", "graph"):

@@ -37,6 +37,9 @@ class RefField:
     def neg(self, x):
         return self.undigits([(-d) % self.p for d in self.digits(x)])
 
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
     def mul(self, x, y):
         dx, dy = self.digits(x), self.digits(y)
         prod = [0] * (2 * self.deg)

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, exact tolerances, printed verdicts.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the whole module is exact (no numeric tolerances anywhere).
+lines; the whole module is exact (no numeric tolerances anywhere).  The
+criteria that are also `ranksat reproduce` suites read their claims from
+`ranksat.claims`, so both check the same parameters.
 """
 
 import random
@@ -10,43 +12,27 @@ import time
 import numpy as np
 import pytest
 
+from ranksat import claims
+from ranksat.claims import MOORE_GRID
 from ranksat.constructions import (
     MooreParams,
-    case_system,
     contains_vector,
     hscattered_moore,
     moore_saturate_witness,
     moore_system,
-    normalized_alphas,
-    normalized_betas,
-    normalized_pairs,
     thin_to_saturating,
 )
 from ranksat.gf import field_create
-from ranksat.identities import (
-    AppendixContext,
-    case3_witness,
-    delta_sets,
-    verify_delta_unsaturated,
-    verify_gamma_unsaturated,
-    verify_identities,
-)
 from ranksat.linalg import fqm_rank, system_create
 from ranksat.linpoly import LinPoly
-from ranksat.linset import Point, is_h_scattered, linear_set, max_h_scattered_bound
 from ranksat.rankcov import (
     Code,
     code_from_system,
     covering_radius,
-    is_rank_saturating,
-    known_value,
-    lower_bound,
-    one_saturated,
     saturates_within,
     saturating_index,
-    upper_bound,
 )
-from ranksat.search import SearchTask, min_rank_search, search_table
+from ranksat.search import SearchTask, min_rank_search
 
 
 def _verdict(num, label, ok, t0):
@@ -55,20 +41,20 @@ def _verdict(num, label, ok, t0):
     assert ok, line
 
 
-MOORE_GRID = [(2, 1, 2, 2, 2), (2, 1, 3, 2, 2), (3, 1, 2, 2, 2),
-              (2, 1, 4, 2, 2), (2, 1, 3, 3, 2), (2, 2, 3, 2, 2)]
+def _all_pass(batch) -> bool:
+    """Every claim of the batch holds; stops at the first that does not."""
+    return all(ok for _label, ok in batch)
 
 
 def test_criterion_01_moore_grid():
     t0 = time.time()
     ok = True
-    for (p, a, m, rho, t) in MOORE_GRID:
-        point_t0 = time.time()
-        fld = field_create(p, a, m)
-        u = moore_system(MooreParams(fld, rho, t))
-        ok &= u.rank == m * (t - 1) + rho
-        ok &= saturating_index(u) == rho
-        ok &= time.time() - point_t0 <= 60
+    point_t0 = t0
+    for label, good in claims.moore_grid():
+        ok &= good
+        if label.endswith(" index"):  # the last claim of a grid point
+            ok &= time.time() - point_t0 <= 60
+            point_t0 = time.time()
     _verdict(1, "Moore grid: rank m(t-1)+rho and index exactly rho", ok, t0)
 
 
@@ -132,15 +118,7 @@ def test_criterion_04_duality():
 
 def test_criterion_05_hscattered():
     t0 = time.time()
-    ok = True
-    for (p, a, m, h, t) in ((2, 1, 3, 1, 1), (3, 1, 3, 1, 1),
-                            (2, 1, 4, 2, 1), (2, 1, 4, 1, 2)):
-        fld = field_create(p, a, m)
-        u = hscattered_moore(fld, h, t)
-        k = (h + 1) * t
-        ok &= u.rank == max_h_scattered_bound(k, m, h)
-        verdict, _w = is_h_scattered(u, h)
-        ok &= verdict
+    ok = _all_pass(claims.hscattered_grid())
     _verdict(5, "h-scattered towers attain floor(km/(h+1)) and verify", ok, t0)
 
 
@@ -155,63 +133,27 @@ def test_criterion_06_thinning_pipeline():
 
 
 @pytest.mark.parametrize("q,a", [(2, 1), (4, 2)])
-def test_criterion_07_case_sweep(q, a):
+def test_criterion_07_case_sweep(q, a):  # a names the tower q = 2^a in the id
     t0 = time.time()
-    fld = field_create(2, a, 4)
-    ok = True
-    u1 = case_system(fld, 1)
-    ok &= not one_saturated(fld, linear_set(u1).points, Point(fld, (0, 0, 1)))
-    u2 = case_system(fld, 2, alpha=fld.generator)
-    ok &= not one_saturated(fld, linear_set(u2).points, Point(fld, (0, 1, 0)))
-    for alpha in normalized_alphas(fld):
-        ok &= case3_witness(fld, alpha).ok
-    for alpha, beta in normalized_pairs(fld):
-        u = case_system(fld, 4, alpha=alpha, beta=beta)
-        ok &= not is_rank_saturating(u, 2)
-        if not ok:
-            break
+    ok = _all_pass(claims.case_sweep(q))
     _verdict(7, f"case sweep q={q}: cases 1-4 all certify non-saturation", ok, t0)
 
 
 def test_criterion_08_headline_search():
     t0 = time.time()
-    fld = field_create(2, 1, 4)
-    res = min_rank_search(SearchTask(fld, 3, 2, 4, 5, reduction="canonical"))
-    ok = res.value == 5
-    ok &= res.outcomes[0].found is None and res.outcomes[0].examined > 0
-    ok &= res.outcomes[1].found is not None
+    ok = _all_pass(claims.headline_search())
     _verdict(8, "headline search (canonical): no rank 4, rank 5 achieved, s=5",
              ok, t0)
 
 
 def test_criterion_09_identities():
     t0 = time.time()
-    ok = True
     # q = 2: every (alpha, beta), every C, exhaustive (x, y)
-    fld = field_create(2, 1, 4)
-    for alpha in normalized_alphas(fld):
-        for beta in normalized_betas(fld):
-            ctx = AppendixContext(fld, alpha, beta)
-            for c in range(fld.order):
-                ok &= verify_identities(ctx, c, numeric=True).ok_derived
-                if not ok:
-                    break
+    ok = _all_pass(claims.appendix_identities(2))
     q2_done = time.time() - t0
     assert q2_done <= 300, f"q=2 sweep took {q2_done:.0f}s (cap 300s)"
     # q = 4: every (alpha, beta), 64 sampled C, exhaustive (x, y)
-    fld4 = field_create(2, 2, 4)
-    n = fld4.order
-    xs = np.repeat(np.arange(n, dtype=np.int64), n)
-    ys = np.tile(np.arange(n, dtype=np.int64), n)
-    rng = np.random.default_rng(11)
-    for alpha in normalized_alphas(fld4):
-        for beta in normalized_betas(fld4):
-            ctx = AppendixContext(fld4, alpha, beta)
-            for c in rng.choice(n, size=64, replace=False):
-                ok &= verify_identities(ctx, int(c), numeric=True,
-                                        grid=(xs, ys)).ok_derived
-                if not ok:
-                    break
+    ok = ok and _all_pass(claims.appendix_identities(4))
     _verdict(9, "identity chain: derived forms, zero violations at q=2 and q=4",
              ok, t0)
 
@@ -220,17 +162,12 @@ def test_criterion_10_gamma_soundness():
     t0 = time.time()
     ok = True
     sizes = {}
-    for (q, a) in ((2, 1), (4, 2), (8, 3)):
-        fld = field_create(2, a, 4)
-        for alpha in normalized_alphas(fld):
-            if alpha == 1:
-                continue
-            for beta in normalized_betas(fld):
-                rep = verify_gamma_unsaturated(AppendixContext(fld, alpha, beta))
-                ok &= rep.ok
-                sizes.setdefault(q, []).append(len(rep.gamma))
-                if not ok:
-                    break
+    for q in (2, 4, 8):
+        for label, good in claims.gamma(q):
+            ok &= good
+            sizes.setdefault(q, []).append(int(label.rsplit("size=", 1)[1]))
+            if not ok:
+                break
     note = {q: (min(v), max(v)) for q, v in sizes.items()}
     print(f"  gamma sizes (min, max) per q: {note}; "
           f"cube-order prediction would be q^3")
@@ -239,49 +176,14 @@ def test_criterion_10_gamma_soundness():
 
 def test_criterion_11_delta_q64():
     t0 = time.time()
-    fld = field_create(2, 6, 4, table_threshold=1 << 24)
-    betas = fld.subfield_elements("mid")[1:]
-    ok = len(betas) == 63
-    d0 = {}
-    for beta in betas:
-        d0[beta] = delta_sets(fld, beta, 0)
-        ok &= len(d0[beta]) > 0
-    sample = list(betas)[::13][:5]
-    assert len(sample) == 5
-    for beta in sample:
-        for z in d0[beta]:
-            rep = verify_delta_unsaturated(fld, beta, 0, z, strict=False)
-            ok &= rep.scattered
-            if not ok:
-                break
+    ok = _all_pass(claims.delta_q64())
     _verdict(11, "q=64: all 63 trace-condition sets nonempty; sampled scans "
                  "scattered", ok, t0)
 
 
 def test_criterion_12_tables():
     t0 = time.time()
-    ok = True
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        for m in range(2, 11):
-            for k in range(2, 9):
-                for rho in range(1, min(k, m) + 1):
-                    kv = known_value(q, m, k, rho)
-                    if kv is None:
-                        continue
-                    ok &= (lower_bound(q, m, k, rho) <= kv.lo <= kv.hi
-                           <= upper_bound(m, k, rho))
-    fld = field_create(2, 1, 2)
-    table = {kr: v for kr, v in search_table(fld, 3).items() if v is not None}
-    for (k, rho), v in table.items():
-        if (k, rho + 1) in table:
-            ok &= table[(k, rho + 1)] <= v
-        if (k + 1, rho) in table:
-            ok &= v < table[(k + 1, rho)]
-        if (k + 1, rho + 1) in table:
-            ok &= table[(k + 1, rho + 1)] <= v + 1
-        for (k2, rho2), v2 in table.items():
-            if (k + k2, rho + rho2) in table:
-                ok &= table[(k + k2, rho + rho2)] <= v + v2
+    ok = _all_pass(claims.bounds_table())
     elapsed = time.time() - t0
     _verdict(12, "tables: known values inside bounds; monotonicity and "
                  "subadditivity hold", ok and elapsed <= 60, t0)

@@ -17,6 +17,10 @@ def test_bounds_output(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["bounds", "--q", "3", "--m", "4"]) == 2
     assert run(["fieldify"]) == 2
+    for q in ("6", "1"):  # not prime powers
+        assert run(["bounds", "--q", q, "--m", "4", "--k", "3", "--rho", "2"]) == 2
+    assert run(["search", "--q", "2", "--m", "2", "--k", "4", "--rho", "3",
+                "--rank-min", "3", "--rank-max", "6"]) == 2  # rho above m
 
 
 def test_field_command(capsys):

@@ -5,7 +5,8 @@ import random
 import numpy as np
 
 from ranksat.gf import field_create
-from ranksat.linpoly import LinPoly, det_scalar, det_vec
+from ranksat.linalg import det
+from ranksat.linpoly import LinPoly, det_vec
 
 F16 = field_create(2, 1, 4)
 F64 = field_create(2, 2, 3)  # q = 4, m = 3
@@ -54,8 +55,8 @@ def test_det_vec_matches_scalar():
     for _ in range(30):
         mat = [[rng.randrange(16) for _ in range(4)] for _ in range(4)]
         arrmat = [[np.asarray([v], dtype=np.int64) for v in row] for row in mat]
-        assert int(det_vec(F16, arrmat)[0]) == det_scalar(F16, mat)
+        assert int(det_vec(F16, arrmat)[0]) == det(F16, mat)
     for _ in range(30):
         mat = [[rng.randrange(81) for _ in range(3)] for _ in range(3)]
         arrmat = [[np.asarray([v], dtype=np.int64) for v in row] for row in mat]
-        assert int(det_vec(F81, arrmat)[0]) == det_scalar(F81, mat)
+        assert int(det_vec(F81, arrmat)[0]) == det(F81, mat)

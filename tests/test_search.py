@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from ranksat.errors import InvalidParams
+from ranksat.constructions import MooreParams, moore_system
+from ranksat.errors import InvalidParams, InvalidRho
 from ranksat.gf import field_create
 from ranksat.linalg import fqm_rank, gaussian_binomial, system_create
 from ranksat.rankcov import is_rank_saturating
@@ -23,6 +24,7 @@ from ranksat.search import (
 F4 = field_create(2, 1, 2)
 F8 = field_create(2, 1, 3)
 F16 = field_create(2, 1, 4)
+F9 = field_create(3, 1, 2)
 
 
 def random_invertible(field, k, rng):
@@ -45,19 +47,31 @@ def apply_mat(field, mat, u):
 
 def test_canonical_key_orbit_invariance():
     rng = random.Random(17)
-    for _ in range(120):
-        gens = [[rng.randrange(8) for _ in range(2)]
-                for _ in range(rng.randrange(1, 4))]
-        u = system_create(F8, 2, gens)
-        if u.is_zero:
-            continue
-        key = canonical_key(u)
-        twisted = apply_mat(F8, random_invertible(F8, 2, rng), u)
-        assert canonical_key(twisted) == key
-        j = rng.randrange(3)
-        frob = system_create(F8, 2, [[F8.frob_abs(z, j) for z in b]
-                                     for b in u.basis])
-        assert canonical_key(frob) == key
+    # odd characteristic takes the slow vector path: a few draws of rank <= 2
+    for fld, draws, max_gens in ((F8, 120, 3), (F9, 6, 2)):
+        for _ in range(draws):
+            gens = [[rng.randrange(fld.order) for _ in range(2)]
+                    for _ in range(rng.randrange(1, max_gens + 1))]
+            u = system_create(fld, 2, gens)
+            if u.is_zero:
+                continue
+            key = canonical_key(u)
+            twisted = apply_mat(fld, random_invertible(fld, 2, rng), u)
+            assert canonical_key(twisted) == key
+            j = rng.randrange(fld.degree)
+            frob = system_create(fld, 2, [[fld.frob_abs(z, j) for z in b]
+                                          for b in u.basis])
+            assert canonical_key(frob) == key
+
+
+def test_canonical_key_many_tied_candidates():
+    # the rank-4 Moore system in V(4, 4) keeps more than 64 tied candidates
+    # whose image tuples still hold unset (None) images
+    u = moore_system(MooreParams(F4, 2, 2))
+    key = canonical_key(u)
+    assert len(key) == F4.q ** u.rank - 1
+    twisted = apply_mat(F4, random_invertible(F4, 4, random.Random(9)), u)
+    assert canonical_key(twisted) == key
 
 
 def test_canonical_reduce_idempotent_and_in_orbit():
@@ -101,6 +115,13 @@ def test_enumerate_rank_subspaces_counts():
     for i in range(3):
         parts.extend(enumerate_rank_subspaces(F4, 2, 2, shard=(i, 3)))
     assert sorted(u.canonical for u in parts) == sorted(u.canonical for u in subs)
+
+
+def test_enumerate_rank_subspaces_are_canonical():
+    for fld, k, r in ((F4, 2, 2), (F9, 2, 2), (F8, 2, 3)):
+        for u in enumerate_rank_subspaces(fld, k, r):
+            assert u == system_create(fld, k, u.basis)
+            assert u.rank == r
 
 
 def test_graph_form_lemma_mode_counts():
@@ -179,3 +200,7 @@ def test_task_validation():
         SearchTask(F4, 2, 1, 1, 2, reduction="mystery")
     with pytest.raises(InvalidParams):
         SearchTask(F8, 2, 1, 1, 2, reduction="graph")  # wrong regime
+    with pytest.raises(InvalidRho):
+        SearchTask(F4, 4, 3, 3, 6)  # rho above m
+    with pytest.raises(InvalidRho):
+        SearchTask(F4, 2, 0, 1, 2)
