@@ -21,7 +21,7 @@ from .constructions import (
     normalized_betas,
     normalized_pairs,
 )
-from .errors import InvalidParams
+from .errors import InvalidParams, OddCharacteristic
 from .gf import Field, field_create, prime_power
 from .identities import (
     AppendixContext,
@@ -110,8 +110,12 @@ def bounds_table() -> Claims:
 
 
 def case_sweep(q: int) -> Claims:
-    """Cases 1-4 of the rank-4 normal forms in V(3, q^4) are not 2-saturating."""
+    """Cases 1-4 of the rank-4 normal forms in V(3, q^4) are not 2-saturating.
+
+    Even q only: the case-3 witness scan covers characteristic 2."""
     fld = _tower(q)
+    if fld.p != 2:
+        raise OddCharacteristic(f"the case sweep covers even q, not q={q}")
     u1 = case_system(fld, 1)
     yield (f"case1 q={q} (0:0:1) unsaturated",
            not one_saturated(fld, linear_set(u1).points, Point(fld, (0, 0, 1))))

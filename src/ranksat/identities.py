@@ -724,6 +724,21 @@ def _coeffs_to_poly(ctx: AppendixContext, coeffs: dict[int, int]) -> QPoly:
     return p
 
 
+def _p_combination(ctx: AppendixContext, c: int, l1: dict[int, int],
+                   l2: dict[int, int]) -> tuple[QPoly, int]:
+    """P = s1 L1 + s2 L2 at C, with base^2, the divisor of the U/V form.
+
+    base = C^q + alpha beta^q; both scalars carry base^2, so P vanishes
+    when the divisor does."""
+    fld, q = ctx.field, ctx.q
+    base = fld.add(fld.pow(c, q), fld.mul(ctx.alpha, fld.pow(ctx.beta, q)))
+    base2 = _sq(fld, base)
+    s1 = fld.mul(fld.mul(_sq(fld, ctx.alpha), fld.pow(c, 2 * q ** 3)), base2)
+    s2 = fld.mul(base2, _sq(fld, fld.add(fld.mul(c, ctx.alpha), ctx.beta)))
+    return (_coeffs_to_poly(ctx, l1).scale(s1)
+            + _coeffs_to_poly(ctx, l2).scale(s2)), base2
+
+
 def uv_tabulated_polys(ctx: AppendixContext, c: int) -> tuple[QPoly, QPoly]:
     """The tabulated numerator/denominator pair of the kernel-root formula."""
     fld, q = ctx.field, ctx.q
@@ -972,16 +987,10 @@ def verify_identities(ctx: AppendixContext, c: int,
 
     # combination P = s1 L1 + s2 L2 and the root formula of the tabulated pair
     if l1d is not None and l2d is not None:
-        alpha, beta = ctx.alpha, ctx.beta
-        base = fld.add(fld.pow(c, q), fld.mul(alpha, fld.pow(beta, q)))
-        base2 = fld.mul(base, base)
+        ppoly, base2 = _p_combination(ctx, c, l1d, l2d)
         if base2 == 0:
             findings["P_UV"] = "degenerate divisor"
         else:
-            s1 = fld.mul(fld.mul(fld.mul(alpha, alpha), fld.pow(c, 2 * q3)), base2)
-            s2 = fld.mul(base2, _sq(fld, fld.add(fld.mul(c, alpha), beta)))
-            ppoly = (_coeffs_to_poly(ctx, l1d).scale(s1)
-                     + _coeffs_to_poly(ctx, l2d).scale(s2))
             qpoly = ppoly.scale(fld.inv(base2))
             upoly, vpoly = uv_tabulated_polys(ctx, c)
             ys = np.arange(1, fld.order, dtype=np.int64)
@@ -1218,47 +1227,38 @@ def scattered_pair_scan(fld: Field, a_coeffs: Sequence[int],
 
     Image-dedup over all of F_{q^4} (never a pairwise scan): the set is
     scattered iff the kernel of (A, B) is trivial and the projective keys
-    B/A take (q^4-1)/(q-1) distinct values."""
+    B/A take (q^4-1)/(q-1) distinct values.  Even q only, as for both
+    callers."""
+    if fld.p != 2:
+        raise OddCharacteristic("the pair scan covers even q")
     order = fld.order
     expected = (order - 1) // (fld.q - 1)
-    if fld.p == 2:
-        amap = fld.linear_map_from_images(
-            [LinPoly(fld, list(a_coeffs))(1 << j) for j in range(fld.degree)])
-        bmap = fld.linear_map_from_images(
-            [LinPoly(fld, list(b_coeffs))(1 << j) for j in range(fld.degree)])
-        chunk = 1 << 22
-        n = order - 1
-        log, exp = fld._log, fld._exp
-        seen = np.zeros(order + 2, dtype=bool)
-        kernel = 0
-        for start in range(1, order, chunk):
-            xs = np.arange(start, min(start + chunk, order), dtype=np.int64)
-            av = amap.apply(xs)
-            bv = bmap.apply(xs)
-            zero_a = av == 0
-            zero_b = bv == 0
-            kernel += int((zero_a & zero_b).sum())
-            # fused division into projective keys: B/A; `order` marks the
-            # (0:1) direction, order+1 the kernel (not a direction at all)
-            kk = exp[(log[bv] - log[av]) % n]
-            kk[zero_b] = 0
-            kk[zero_a] = order
-            kk[zero_a & zero_b] = order + 1
-            seen[kk] = True
-        distinct = int(seen[:order + 1].sum())
-        return ScatterReport(distinct, expected, kernel,
-                             kernel == 0 and distinct == expected)
-    ap = LinPoly(fld, list(a_coeffs))
-    bp = LinPoly(fld, list(b_coeffs))
-    seen = set()
+    amap = fld.linear_map_from_images(
+        [LinPoly(fld, list(a_coeffs))(1 << j) for j in range(fld.degree)])
+    bmap = fld.linear_map_from_images(
+        [LinPoly(fld, list(b_coeffs))(1 << j) for j in range(fld.degree)])
+    chunk = 1 << 22
+    n = order - 1
+    log, exp = fld._log, fld._exp
+    seen = np.zeros(order + 2, dtype=bool)
     kernel = 0
-    for x in range(1, order):
-        av, bv = ap(x), bp(x)
-        if av == 0 and bv == 0:
-            kernel += 1
-        seen.add(fld.div(bv, av) if av else order)
-    return ScatterReport(len(seen), expected, kernel,
-                         kernel == 0 and len(seen) == expected)
+    for start in range(1, order, chunk):
+        xs = np.arange(start, min(start + chunk, order), dtype=np.int64)
+        av = amap.apply(xs)
+        bv = bmap.apply(xs)
+        zero_a = av == 0
+        zero_b = bv == 0
+        kernel += int((zero_a & zero_b).sum())
+        # fused division into projective keys: B/A; `order` marks the
+        # (0:1) direction, order+1 the kernel (not a direction at all)
+        kk = exp[(log[bv] - log[av]) % n]
+        kk[zero_b] = 0
+        kk[zero_a] = order
+        kk[zero_a & zero_b] = order + 1
+        seen[kk] = True
+    distinct = int(seen[:order + 1].sum())
+    return ScatterReport(distinct, expected, kernel,
+                         kernel == 0 and distinct == expected)
 
 
 def verify_delta_unsaturated(fld: Field, beta: int, which: int, z: int,
@@ -1439,13 +1439,7 @@ def registry_eval(ctx: AppendixContext, name: str, **bindings) -> int:
         rep = verify_identities(ctx, c, numeric=False)
         if rep.l1_derived is None or rep.l2_derived is None:
             raise DivisionNotExact(f"P has no derived form at C={c}")
-        q3 = ctx.q ** 3
-        base = fld.add(fld.pow(c, ctx.q), fld.mul(ctx.alpha, fld.pow(ctx.beta, ctx.q)))
-        base2 = fld.mul(base, base)
-        s1 = fld.mul(fld.mul(_sq(fld, ctx.alpha), fld.pow(c, 2 * q3)), base2)
-        s2 = fld.mul(base2, _sq(fld, fld.add(fld.mul(c, ctx.alpha), ctx.beta)))
-        p = (_coeffs_to_poly(ctx, rep.l1_derived).scale(s1)
-             + _coeffs_to_poly(ctx, rep.l2_derived).scale(s2))
+        p, _ = _p_combination(ctx, c, rep.l1_derived, rep.l2_derived)
         return p.eval(0, y)
     if name in ("U", "V"):
         c, y = need("C", "y")

@@ -1,10 +1,14 @@
 """Saturation checks, rank covering radius, duality, and bound tables.
 
-The level-rho saturation scan is incremental: level 1 marks the points of
-L_U itself, level 2 marks every point on a secant line (the dominant
-desk-scale case, done pairwise with a point-index bitmap), and level rho+1
-re-examines only the points still unmarked, testing lines toward L_U
-against the frozen level-rho bitmap.
+The level-rho saturation scan is incremental over a bitmap of
+PG(k-1, q^m).  Level 1 marks the points of L_U itself.  Level 2 marks every
+point on a secant line, pairwise over L_U (the dominant desk-scale case).
+Every later level uses one geometric step, projection from a point: seen
+from P in L_U, the points of a line through P other than P share one index
+of PG(k-2), and each such fiber holds exactly q^m points.  So an unmarked
+point Q lies on a line through P that meets the marked set iff fewer than
+q^m unmarked points share Q's index.  `one_saturated` is the same step
+from a single center: a collision among the images is a secant through it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,28 @@ _PAIR_CHUNK = 1 << 16
 # point saturation
 # ----------------------------------------------------------------------
 
+def _project(field: Field, center: np.ndarray,
+             pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project points from a normalized center into PG(k-2).
+
+    Returns each point's PG(k-2) index and the mask of rows equal to the
+    center, whose image is undefined.  Two other points share an index iff
+    they lie on one line through the center.
+    """
+    lead = int(np.argmax(center != 0))
+    red = field.vsub(pts, field.vmul(pts[:, lead:lead + 1], center[None, :]))
+    at_center = ~red.any(axis=1)
+    rows, _ = normalize_rows(field, np.delete(red, lead, axis=1))
+    return point_index(field, rows), at_center
+
+
+def one_saturated(field: Field, pts: np.ndarray, q_point: Point) -> bool:
+    """True iff q_point is in the set or on a secant line of it."""
+    idx, at_center = _project(field, np.asarray(q_point.coords, dtype=np.int64),
+                              np.asarray(pts, dtype=np.int64))
+    return bool(at_center.any()) or len(np.unique(idx)) < len(idx)
+
+
 def _mark_secants(field: Field, pts: np.ndarray, marked: np.ndarray):
     """Set the bitmap on every point of every line through two set points."""
     n = len(pts)
@@ -57,33 +83,6 @@ def _mark_secants(field: Field, pts: np.ndarray, marked: np.ndarray):
         R = R.reshape(-1, pts.shape[1])
         rows, ok = normalize_rows(field, R)
         marked[point_index(field, rows[ok])] = True
-
-
-def _extend_level(field: Field, unmarked_pts: np.ndarray, spts: np.ndarray,
-                  prev: np.ndarray) -> np.ndarray:
-    """Which currently unmarked points see a prev-marked point toward S.
-
-    A point Q is saturated at the next level iff some line through Q and a
-    point P of S meets the frozen previous-level set, tested by walking
-    Q + t*P over all t (Q itself is unmarked, so it never false-positives).
-    """
-    nu = len(unmarked_pts)
-    hit = np.zeros(nu, dtype=bool)
-    elems = np.arange(field.order, dtype=np.int64)
-    chunk = max(1, (1 << 21) // max(1, len(spts) * field.order))
-    for start in range(0, nu, chunk):
-        Q = unmarked_pts[start:start + chunk]
-        # (c, s, t, k) lines
-        R = field.vadd(Q[:, None, None, :],
-                       field.vmul(elems[None, None, :, None],
-                                  spts[None, :, None, :]))
-        rows, ok = normalize_rows(field, R.reshape(-1, R.shape[-1]))
-        idx = np.zeros(len(rows), dtype=np.int64)
-        idx[ok] = point_index(field, rows[ok])
-        good = np.zeros(len(rows), dtype=bool)
-        good[ok] = prev[idx[ok]]
-        hit[start:start + chunk] |= good.reshape(len(Q), -1).any(axis=1)
-    return hit
 
 
 def saturating_index(u: System, budget: Optional[int] = None) -> Optional[int]:
@@ -137,8 +136,12 @@ def saturation_report(u: System, budget: Optional[int] = None,
         else:
             un_idx = np.nonzero(~marked)[0]
             un_pts = point_unrank(field, u.k, un_idx)
-            prev = marked.copy()
-            hit = _extend_level(field, un_pts, spts, prev)
+            hit = np.zeros(len(un_idx), dtype=bool)
+            # a fiber is a line through the center minus the center: q^m
+            # points, so fewer unmarked ones means it meets the marked set
+            for center in spts:
+                idx, _ = _project(field, center, un_pts)
+                hit |= np.bincount(idx)[idx] < field.order
             marked[un_idx[hit]] = True
         rho += 1
 
@@ -153,68 +156,6 @@ def saturates_within(u: System, rho: int, budget: Optional[int] = None) -> bool:
     """At-most predicate: the index exists and is <= rho."""
     report = saturation_report(u, budget=budget, stop_after=rho)
     return report.rho is not None and report.rho <= rho
-
-
-def is_point_saturated(field: Field, points: Sequence[Point], q_point: Point,
-                       rho: int) -> bool:
-    """Is q_point in the span of some rho points of the given set?
-
-    Depth-first growth of F_{q^m}-independent subsets with an early span
-    test; rho = 2 dispatches to the secant-line scan.
-    """
-    if not 1 <= rho:
-        raise InvalidRho(f"rho={rho} must be positive")
-    coords = np.asarray([p.coords for p in points], dtype=np.int64)
-    if rho >= 2:
-        if one_saturated(field, coords, q_point):
-            return True
-        if rho == 2:
-            return False
-    qrow = list(q_point.coords)
-    target_in = _span_tester(field)
-
-    def rec(start: int, rows: list[list[int]]) -> bool:
-        if target_in(rows, qrow):
-            return True
-        if len(rows) == rho:
-            return False
-        for i in range(start, len(points)):
-            cand = list(points[i].coords)
-            red = fqm_rref(field, rows + [cand])
-            if len(red) == len(rows):
-                continue
-            if rec(i + 1, red):
-                return True
-        return False
-
-    return rec(0, [])
-
-
-def _span_tester(field: Field):
-    def inside(rows: list[list[int]], target: list[int]) -> bool:
-        if not rows:
-            return False
-        return len(fqm_rref(field, rows + [target])) == len(rows)
-    return inside
-
-
-def one_saturated(field: Field, pts: np.ndarray, q_point: Point) -> bool:
-    """True iff q_point is in the set or on a secant line of it.
-
-    Projects the set from q_point; a collision among the images is exactly
-    a secant through the center (O(|S|), never a pairwise scan).
-    """
-    pts = np.asarray(pts, dtype=np.int64)
-    qrow = np.asarray(q_point.coords, dtype=np.int64)
-    lead = int(np.argmax(qrow != 0))
-    coef = pts[:, lead]
-    red = field.vsub(pts, field.vmul(coef[:, None], qrow[None, :]))
-    if not red.any(axis=1).all():
-        return True  # some P equals the center
-    rows, _ = normalize_rows(field, red)
-    keep = [j for j in range(pts.shape[1]) if j != lead]
-    idx = point_index(field, rows[:, keep])
-    return len(np.unique(idx)) < len(pts)
 
 
 # ----------------------------------------------------------------------

@@ -111,3 +111,26 @@ def ref_fq_rank(field, rows):
                            for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def ref_point_saturated(field, points, target, rho):
+    """Is target in the span of at most rho of the points, over `field`?
+
+    Depth-first growth of independent subsets with a span test at each
+    node; points and target are coordinate sequences of field encodings.
+    """
+    points = [list(p) for p in points]
+    target = list(target)
+
+    def rec(start, rows):
+        if rows and ref_fq_rank(field, rows + [target]) == len(rows):
+            return True
+        if len(rows) == rho:
+            return False
+        for i in range(start, len(points)):
+            grown = rows + [points[i]]
+            if ref_fq_rank(field, grown) == len(grown) and rec(i + 1, grown):
+                return True
+        return False
+
+    return rec(0, [])

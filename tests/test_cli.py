@@ -84,3 +84,10 @@ def test_reproduce_small_suite(capsys):
     assert run(["reproduce", "hscattered"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_reproduce_case_sweep_rejects_odd_q(capsys):
+    assert run(["reproduce", "case-sweep", "--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "even q" in captured.err

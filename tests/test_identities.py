@@ -221,6 +221,8 @@ def test_scattered_pair_scan_classical():
     assert rep.scattered
     rep2 = scattered_pair_scan(F16, [1, 0, 0, 0], [0, 0, 1, 0])
     assert not rep2.scattered
+    with pytest.raises(OddCharacteristic):
+        scattered_pair_scan(field_create(3, 1, 4), [0, 0, 0, 1], [1, 0, 0, 0])
 
 
 def test_case3_witnesses_all_alphas():

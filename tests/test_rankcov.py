@@ -5,15 +5,15 @@ import random
 import numpy as np
 import pytest
 
+from ranksat.constructions import MooreParams, moore_system
 from ranksat.errors import InvalidRho
 from ranksat.gf import field_create
 from ranksat.linalg import system_create
-from ranksat.linset import Point, linear_set, pg_num_points
+from ranksat.linset import Point, linear_set, pg_num_points, point_unrank
 from ranksat.rankcov import (
     Code,
     code_from_system,
     covering_radius,
-    is_point_saturated,
     is_rank_saturating,
     known_value,
     lower_bound,
@@ -25,6 +25,8 @@ from ranksat.rankcov import (
     saturation_report,
     upper_bound,
 )
+
+from .reference import RefField, ref_point_saturated
 
 F4 = field_create(2, 1, 2)
 F8 = field_create(2, 1, 3)
@@ -52,21 +54,23 @@ def full_ambient(field, k):
     return system_create(field, k, gens)
 
 
+def ref_field(field):
+    return RefField(field.p, field.modulus)
+
+
+def all_points(field, k):
+    return point_unrank(field, k, np.arange(pg_num_points(field.order, k)))
+
+
 def brute_saturating_index(u):
     """Independent oracle: check every point against all rho-subsets."""
-    field = u.field
-    ls = linear_set(u)
-    pts = [Point(field, r) for r in ls.points]
-    from ranksat.linalg import spans_ambient
-    if not spans_ambient(u):
-        return None
-    from ranksat.linset import point_unrank
-    n = pg_num_points(field.order, u.k)
-    allpts = [Point(field, r) for r in point_unrank(field, u.k, np.arange(n))]
+    ref = ref_field(u.field)
+    pts = linear_set(u).points.tolist()
+    allpts = all_points(u.field, u.k).tolist()
     for rho in range(1, u.k + 1):
-        if all(is_point_saturated(field, pts, q, rho) for q in allpts):
+        if all(ref_point_saturated(ref, pts, q, rho) for q in allpts):
             return rho
-    return None
+    return None  # a non-spanning U leaves some point outside every span
 
 
 def test_subgeometry_saturates_at_k():
@@ -116,9 +120,14 @@ def test_saturation_report_witnesses():
     u = subgeometry(F8, 3)
     rep = saturation_report(u)
     assert rep.rho == 3
+    ref = ref_field(F8)
+    pts = linear_set(u).points.tolist()
     for level, witness in rep.witnesses.items():
-        pts = [Point(F8, r) for r in linear_set(u).points]
-        assert not is_point_saturated(F8, pts, witness, level)
+        assert not ref_point_saturated(ref, pts, witness.coords, level)
+    allpts = all_points(F8, 3).tolist()
+    for level, count in rep.coverage.items():
+        assert count == sum(ref_point_saturated(ref, pts, q, level)
+                            for q in allpts)
 
 
 def test_exact_and_at_most_predicates():
@@ -131,31 +140,46 @@ def test_exact_and_at_most_predicates():
 
 def test_is_point_saturated_examples():
     u = subgeometry(F16, 3)
-    pts = [Point(F16, r) for r in linear_set(u).points]
-    assert is_point_saturated(F16, pts, pts[0], 1)
+    ref = ref_field(F16)
+    pts = linear_set(u).points.tolist()
+    assert ref_point_saturated(ref, pts, pts[0], 1)
     # spanning frame: any point is k-saturated
-    q = Point(F16, (1, F16.generator, 3))
-    assert is_point_saturated(F16, pts, q, 3)
-    with pytest.raises(InvalidRho):
-        is_point_saturated(F16, pts, q, 0)
+    q = (1, F16.generator, 3)
+    assert ref_point_saturated(ref, pts, q, 3)
+    # (1 : x : x^2) lies on no line defined over F_2
+    assert not ref_point_saturated(ref, pts, (1, 2, 4), 2)
+    assert ref_point_saturated(ref, pts, (1, 2, 4), 3)
 
 
 def test_one_saturated_scan_matches_dfs():
     rng = random.Random(33)
-    for _ in range(15):
-        gens = [[rng.randrange(8) for _ in range(2)]
-                for _ in range(rng.randrange(1, 4))]
-        u = system_create(F8, 2, gens)
-        if u.is_zero:
-            continue
-        ls = linear_set(u)
-        pts = [Point(F8, r) for r in ls.points]
-        from ranksat.linset import point_unrank
-        n = pg_num_points(8, 2)
-        for q in [Point(F8, r) for r in point_unrank(F8, 2, np.arange(n))]:
-            fast = one_saturated(F8, ls.points, q)
-            slow = is_point_saturated(F8, pts, q, 2)
-            assert fast == slow
+    for field, k, max_gens, draws in ((F8, 2, 4, 15), (F9, 2, 4, 6),
+                                      (F4, 3, 5, 6)):
+        ref = ref_field(field)
+        for _ in range(draws):
+            gens = [[rng.randrange(field.order) for _ in range(k)]
+                    for _ in range(rng.randrange(1, max_gens))]
+            u = system_create(field, k, gens)
+            if u.is_zero:
+                continue
+            ls = linear_set(u)
+            pts = ls.points.tolist()
+            for q in all_points(field, k).tolist():
+                fast = one_saturated(field, ls.points, Point(field, q))
+                assert fast == ref_point_saturated(ref, pts, q, 2)
+
+
+@pytest.mark.parametrize("make, coverage", [
+    (lambda: subgeometry(F8, 3), {1: 7, 2: 49, 3: 73}),
+    (lambda: subgeometry(F16, 4), {1: 15, 2: 505, 3: 3025, 4: 4369}),
+    (lambda: subgeometry(field_create(3, 1, 3), 3), {1: 13, 2: 325, 3: 757}),
+    (lambda: moore_system(MooreParams(F8, 3, 2)), {1: 63, 2: 3969, 3: 37449}),
+], ids=["subgeometry-F8-k3", "subgeometry-F16-k4", "subgeometry-F27-k3",
+        "moore-q2-m3-rho3-t2"])
+def test_level_coverage(make, coverage):
+    rep = saturation_report(make())
+    assert rep.coverage == coverage
+    assert rep.rho == max(coverage)
 
 
 def test_rank_weight():
