@@ -6,7 +6,7 @@ graph-form sweep (its completeness rests on a counting certificate: a
 rank-4 linear set meets at most 15 * 17 = 255 of the 273 lines of
 PG(2, 16), so some line misses it and the orbit contains a graph form).
 
-Takes around a minute.
+Takes about a second.
 """
 
 import time

@@ -17,6 +17,7 @@ rebuilt into a System and every claim is recomputed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -24,6 +25,19 @@ from .gf import Field, parse_field_line
 from .linalg import System, system_create
 
 MAGIC = "%RANKSAT-CERT v1"
+
+
+def write_atomic(path: str, text: str):
+    """Write text through a temporary file beside path, then rename it, so
+    that path holds either its old contents or all of the new ones."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @dataclass
@@ -76,8 +90,7 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
+        write_atomic(path, self.dumps())
 
     @classmethod
     def loads(cls, text: str) -> "Certificate":

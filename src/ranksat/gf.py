@@ -685,10 +685,6 @@ class Field:
         return (self.p, self.a, self.m, self.modulus) == \
                (other.p, other.a, other.m, other.modulus)
 
-    def require_same(self, other: "Field"):
-        if not self.same_as(other):
-            raise FieldMismatch(f"{self.describe()} vs {other.describe()}")
-
     def __repr__(self):
         return f"Field(p={self.p}, a={self.a}, m={self.m}, order={self.order})"
 

@@ -71,16 +71,6 @@ class QPoly:
         return (e - 1) % n + 1
 
     @classmethod
-    def const(cls, field: Field, c: int) -> "QPoly":
-        return cls(field, {(0, 0): c} if c else {})
-
-    @classmethod
-    def xpow(cls, field: Field, e: int, c: int = 1) -> "QPoly":
-        p = cls(field)
-        p.terms = {(p._fold(e), 0): c} if c else {}
-        return p
-
-    @classmethod
     def ypow(cls, field: Field, e: int, c: int = 1) -> "QPoly":
         p = cls(field)
         p.terms = {(0, p._fold(e)): c} if c else {}

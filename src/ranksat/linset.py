@@ -58,9 +58,6 @@ class Point:
     def __repr__(self):
         return f"Point{self.coords}"
 
-    def serialize(self) -> str:
-        return " ".join(str(z) for z in self.coords)
-
     def as_subspace(self) -> FqmSubspace:
         return fqm_subspace(self.field, len(self.coords), [list(self.coords)])
 

@@ -197,17 +197,13 @@ class Code:
     def dual(self) -> "Code":
         """Right kernel w.r.t. the standard inner product."""
         field, n = self.field, self.n
-        rows = [list(r) for r in self.gen]
-        red = fqm_rref(field, rows)
-        pivots = []
-        for r in red:
-            pivots.append(next(i for i, z in enumerate(r) if z))
+        pivots = [next(i for i, z in enumerate(r) if z) for r in self.gen]
         free = [j for j in range(n) if j not in pivots]
         basis = []
         for j in free:
             vec = [0] * n
             vec[j] = 1
-            for r, piv in zip(red, pivots):
+            for r, piv in zip(self.gen, pivots):
                 vec[piv] = field.neg(r[j])
             basis.append(vec)
         return Code(field, n, basis)

@@ -7,6 +7,14 @@ position-wise minimal-image walk over partial linear maps.  Orbit
 enumeration runs rank by rank: exact canonical dedup below the target rank,
 then a direct check of every single-generator extension at the target rank,
 which is a sound orbit cover without canonicalizing at the top.
+
+A vector (z_0, ..., z_{k-1}) of F_{p^n}^k is encoded as the integer
+sum z_i * p^(n(k-1-i)), that is, as the base-p digit string of its
+F_p-coordinates.  Field addition and subtraction act digit-wise, so
+field.add and field.sub act on whole vector encodings (XOR when p = 2).
+Coordinate i is read off as enc // p^(n(k-1-i)) mod p^n, and c * v is
+memoized per scalar c: the first product decodes v, multiplies each
+coordinate by c and stores the result.
 """
 
 from __future__ import annotations
@@ -17,9 +25,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import config
+from .certificates import write_atomic
 from .errors import BudgetExceeded, InvalidParams
 from .gf import Field
-from .linalg import System, fqm_rref, gaussian_binomial, system_create
+from .linalg import System, gaussian_binomial, system_create
 from .rankcov import _check_rho, is_rank_saturating
 
 
@@ -45,55 +54,39 @@ def _apply_automorphism(u: System, j: int) -> System:
     return system_create(field, u.k, gens)
 
 
-class _VecOps:
-    """Vector arithmetic on integer-encoded tuples of field elements.
+class _ScalarProducts(dict):
+    """c·v for one scalar c, keyed by the encoded vector v and filled on
+    first use."""
 
-    Characteristic 2 runs on XOR plus per-scalar multiplication tables;
-    other characteristics decode to digit tuples (slow path, used only by
-    tiny searches)."""
+    def __init__(self, field: Field, k: int, c: int):
+        super().__init__()
+        self.field, self.k, self.c = field, k, c
+
+    def __missing__(self, venc: int) -> int:
+        field = self.field
+        prod = _enc_vector(field, [field.mul(self.c, z)
+                                   for z in _dec_vector(field, venc, self.k)])
+        self[venc] = prod
+        return prod
+
+
+class _VecOps:
+    """Vector arithmetic on encoded vectors (see the module docstring)."""
 
     def __init__(self, field: Field, k: int):
         self.field = field
         self.k = k
         self.space = field.order ** k
-        self.fast = field.p == 2 and self.space <= (1 << 20)
-        if self.fast:
-            bits = field.degree
-            self.bits = bits
-            self.mask = field.order - 1
-            self.tables = []
-            for c in range(field.order):
-                t = [0] * self.space
-                for j in range(bits * k):
-                    if (1 << j) >= self.space:
-                        break
-                    t[1 << j] = field.mul(c, 1 << (j % bits)) << (bits * (j // bits))
-                for v in range(1, self.space):
-                    low = v & -v
-                    if v != low:
-                        t[v] = t[v ^ low] ^ t[low]
-                self.tables.append(t)
-            self.add = self.sub = lambda a, b: a ^ b
-        else:
-            self.add = lambda a, b: self._slow_op(field.add, a, b)
-            self.sub = lambda a, b: self._slow_op(field.sub, a, b)
-
-    def _slow_op(self, op, a: int, b: int) -> int:
-        field, k = self.field, self.k
-        va, vb = _dec_vector(field, a, k), _dec_vector(field, b, k)
-        return _enc_vector(field, tuple(op(x, y) for x, y in zip(va, vb)))
+        self.add = field.add
+        self.sub = field.sub
+        self.products = [_ScalarProducts(field, k, c) for c in range(field.order)]
+        self.places = [field.order ** (k - 1 - i) for i in range(k)]
 
     def scmul(self, c: int, venc: int) -> int:
-        if self.fast:
-            return self.tables[c][venc]
-        field, k = self.field, self.k
-        v = _dec_vector(field, venc, k)
-        return _enc_vector(field, tuple(field.mul(c, z) for z in v))
+        return self.products[c][venc]
 
     def coord(self, venc: int, i: int) -> int:
-        if self.fast:
-            return (venc >> (self.bits * (self.k - 1 - i))) & self.mask
-        return _dec_vector(self.field, venc, self.k)[i]
+        return venc // self.places[i] % self.field.order
 
 
 _OPS_CACHE: dict = {}
@@ -109,16 +102,19 @@ def _vec_ops(field: Field, k: int) -> _VecOps:
 
 
 class _Chart:
-    """Echelonized partial linear map on encoded vectors."""
+    """Echelonized partial linear map on encoded vectors.
 
-    __slots__ = ("ops", "rows", "imgs", "pivots", "pins")
+    A vector is pinned only to an image outside the span of the images so
+    far, so the images are independent and span the image of the map."""
 
-    def __init__(self, ops, rows=(), imgs=(), pivots=(), pins=()):
+    __slots__ = ("ops", "rows", "imgs", "pivots", "_span")
+
+    def __init__(self, ops, rows=(), imgs=(), pivots=()):
         self.ops = ops
         self.rows = rows
         self.imgs = imgs
         self.pivots = pivots
-        self.pins = pins
+        self._span = None
 
     def reduce(self, venc: int) -> tuple[int, int]:
         """(residual, image of the removed part), both encoded."""
@@ -135,6 +131,17 @@ class _Chart:
         res, img = self.reduce(venc)
         return img if res == 0 else None
 
+    def span_set(self) -> set:
+        """Every encoded vector in the span of the images (cached)."""
+        if self._span is None:
+            ops = self.ops
+            cur = {0}
+            for img in self.imgs:
+                mults = [ops.scmul(c, img) for c in range(ops.field.order)]
+                cur = {ops.add(a, m) for a in cur for m in mults}
+            self._span = cur
+        return self._span
+
     def pin(self, uenc: int, wenc: int) -> "_Chart":
         ops = self.ops
         field = ops.field
@@ -144,53 +151,7 @@ class _Chart:
         inv = field.inv(ops.coord(res, piv))
         return _Chart(ops, self.rows + (ops.scmul(inv, res),),
                       self.imgs + (ops.scmul(inv, wres),),
-                      self.pivots + (piv,),
-                      self.pins + ((uenc, wenc),))
-
-    def key(self):
-        ops = self.ops
-        field = ops.field
-        rows = [list(_dec_vector(field, u, ops.k)) + list(_dec_vector(field, w, ops.k))
-                for u, w in self.pins]
-        return tuple(tuple(r) for r in fqm_rref(field, rows))
-
-
-class _ImageSpan:
-    """Echelon of the image rows, with a cached span set for fast tests."""
-
-    __slots__ = ("ops", "rows", "pivots", "_span")
-
-    def __init__(self, ops, rows=(), pivots=()):
-        self.ops = ops
-        self.rows = rows
-        self.pivots = pivots
-        self._span = None
-
-    def residual(self, venc: int) -> int:
-        ops = self.ops
-        for row, piv in zip(self.rows, self.pivots):
-            c = ops.coord(venc, piv)
-            if c:
-                venc = ops.sub(venc, ops.scmul(c, row))
-        return venc
-
-    def span_set(self) -> set:
-        if self._span is None:
-            ops = self.ops
-            cur = {0}
-            for row in self.rows:
-                mults = [ops.scmul(c, row) for c in range(ops.field.order)]
-                cur = {ops.add(a, m) for a in cur for m in mults}
-            self._span = cur
-        return self._span
-
-    def add(self, venc: int) -> "_ImageSpan":
-        ops = self.ops
-        res = self.residual(venc)
-        piv = next(i for i in range(ops.k) if ops.coord(res, i))
-        inv = ops.field.inv(ops.coord(res, piv))
-        return _ImageSpan(ops, self.rows + (ops.scmul(inv, res),),
-                          self.pivots + (piv,))
+                      self.pivots + (piv,))
 
 
 def _gl_minimal_key(u: System, ub=None) -> Optional[tuple[int, ...]]:
@@ -202,13 +163,13 @@ def _gl_minimal_key(u: System, ub=None) -> Optional[tuple[int, ...]]:
     svecs = sorted(_enc_vector(field, tuple(int(z) for z in row))
                    for row in u.vectors() if any(row))
     n_out = len(svecs)
-    cands = {(): (_Chart(ops), _ImageSpan(ops))}
+    cands = {(): _Chart(ops)}
     out: list[int] = []
     last = -1
     for pos in range(n_out):
         best_val = None
         best: dict = {}
-        for chart, ispan in cands.values():
+        for chart in cands.values():
             img_vals = {}
             pend = []
             for t in svecs:
@@ -221,19 +182,19 @@ def _gl_minimal_key(u: System, ub=None) -> Optional[tuple[int, ...]]:
                 if best_val is None or fmin < best_val:
                     best_val, best = fmin, {}
                 # the state is determined by the images of the set vectors
-                best.setdefault(tuple(img_vals[t] for t in svecs), (chart, ispan))
+                best.setdefault(tuple(img_vals[t] for t in svecs), chart)
             for s in svecs:
                 if img_vals[s] is not None:
                     continue
-                res = _pin_minimal(chart, ispan, s, svecs, img_vals, last, best_val)
+                res = _pin_minimal(chart, s, svecs, img_vals, last, best_val)
                 if res is None:
                     continue
-                val, nchart, nispan = res
+                val, nchart = res
                 if best_val is None or val < best_val:
                     best_val, best = val, {}
                 if val == best_val:
                     nkey = tuple(nchart.image_value(t) for t in svecs)
-                    best.setdefault(nkey, (nchart, nispan))
+                    best.setdefault(nkey, nchart)
         if best_val is None:
             raise InvalidParams("minimal-image walk stalled")
         out.append(best_val)
@@ -251,7 +212,7 @@ def _gl_minimal_key(u: System, ub=None) -> Optional[tuple[int, ...]]:
     return tuple(out)
 
 
-def _pin_minimal(chart, ispan, s, svecs, img_vals, last, bound):
+def _pin_minimal(chart, s, svecs, img_vals, last, bound):
     """Smallest legal emission by pinning s, with the extended state."""
     ops = chart.ops
     field = ops.field
@@ -268,7 +229,7 @@ def _pin_minimal(chart, ispan, s, svecs, img_vals, last, bound):
             deps.append((timg, c))
     v = last + 1
     limit = ops.space
-    span = ispan.span_set()
+    span = chart.span_set()
     add, scmul = ops.add, ops.scmul
     while v < limit:
         if bound is not None and v > bound:
@@ -282,7 +243,7 @@ def _pin_minimal(chart, ispan, s, svecs, img_vals, last, bound):
                 ok = False
                 break
         if ok:
-            return v, chart.pin(s, v), ispan.add(v)
+            return v, chart.pin(s, v)
         v += 1
     return None
 
@@ -303,21 +264,32 @@ def canonical_key(u: System) -> tuple[int, ...]:
 
 def canonical_reduce(u: System) -> System:
     """A canonical orbit representative (same key => same orbit and back)."""
-    key = canonical_key(u)
-    field = u.field
-    vecs = [_dec_vector(field, enc, u.k) for enc in key]
-    return system_create(field, u.k, vecs)
+    return _key_system(u.field, u.k, canonical_key(u))
+
+
+def _key_system(field: Field, k: int, key: tuple[int, ...]) -> System:
+    """The subspace whose nonzero vectors are the encodings in key."""
+    return system_create(field, k, [_dec_vector(field, e, k) for e in key])
 
 
 # ----------------------------------------------------------------------
 # orbit enumeration and searches
 # ----------------------------------------------------------------------
 
-def _all_ambient_vectors(field: Field, k: int) -> list[tuple[int, ...]]:
-    out = []
-    for enc in range(1, field.order ** k):
-        out.append(_dec_vector(field, enc, k))
-    return out
+def _extensions(field: Field, k: int, reps: list[System], rank: int,
+                shard: Optional[tuple[int, int]]) -> Iterator[System]:
+    """Each distinct rank-`rank` span of a representative and one more
+    vector, in a fixed order; with a shard (i, n), every n-th from the i-th."""
+    ambient = [_dec_vector(field, enc, k) for enc in range(1, field.order ** k)]
+    seen: set = set()
+    for base in reps:
+        for v in ambient:
+            cand = system_create(field, k, list(base.basis) + [list(v)])
+            if cand.rank != rank or cand.canonical in seen:
+                continue
+            seen.add(cand.canonical)
+            if shard is None or (len(seen) - 1) % shard[1] == shard[0]:
+                yield cand
 
 
 def orbit_representatives(field: Field, k: int, max_rank: int,
@@ -327,27 +299,21 @@ def orbit_representatives(field: Field, k: int, max_rank: int,
 
     Complete by induction: every rank-r subspace contains a rank-(r-1)
     subspace, so extending every representative by every vector covers
-    every orbit at the next rank."""
+    every orbit at the next rank.  Each representative is the system
+    spanned by its canonical key, as canonical_reduce returns it."""
     cap = node_budget if node_budget is not None else config.SEARCH_NODE_BUDGET
-    ambient = _all_ambient_vectors(field, k)
     reps: dict[int, list[System]] = {0: [system_create(field, k, [])]}
     nodes = 0
     for r in range(1, max_rank + 1):
-        seen_sub: set = set()
-        seen_canon: dict = {}
-        for base in reps[r - 1]:
-            for v in ambient:
-                cand = system_create(field, k, list(base.basis) + [list(v)])
-                if cand.rank != r or cand.canonical in seen_sub:
-                    continue
-                seen_sub.add(cand.canonical)
-                nodes += 1
-                if nodes > cap:
-                    raise BudgetExceeded(f"orbit walk exceeded {cap} nodes")
-                key = canonical_key(cand)
-                if key not in seen_canon:
-                    seen_canon[key] = canonical_reduce(cand)
-        reps[r] = list(seen_canon.values())
+        seen: dict = {}
+        for cand in _extensions(field, k, reps[r - 1], r, None):
+            nodes += 1
+            if nodes > cap:
+                raise BudgetExceeded(f"orbit walk exceeded {cap} nodes")
+            key = canonical_key(cand)
+            if key not in seen:
+                seen[key] = _key_system(field, k, key)
+        reps[r] = list(seen.values())
     return reps
 
 
@@ -492,7 +458,6 @@ def min_rank_search(task: SearchTask) -> SearchResult:
     Positive ranks short-circuit on the first witness (construction hints
     first, then enumeration); negative ranks certify an orbit-complete
     sweep under the stated reduction."""
-    field, k, rho = task.field, task.k, task.rho
     outcomes = []
     done = _load_checkpoint(task)
     for rank in range(task.rank_lo, task.rank_hi + 1):
@@ -513,10 +478,7 @@ def _search_rank(task: SearchTask, rank: int) -> RankOutcome:
     field, k, rho = task.field, task.k, task.rho
     examined = 0
     for hint in _construction_hints(field, k, rho, rank):
-        try:
-            u = hint()
-        except Exception:
-            continue
+        u = hint()
         examined += 1
         if u.rank == rank and is_rank_saturating(u, rho):
             return RankOutcome(rank, u, examined, task.reduction, "construction hint")
@@ -550,24 +512,6 @@ def _search_rank(task: SearchTask, rank: int) -> RankOutcome:
     return RankOutcome(rank, found, examined, task.reduction, note)
 
 
-def _extensions(field: Field, k: int, reps: list[System], rank: int,
-                shard: Optional[tuple[int, int]]) -> Iterator[System]:
-    ambient = _all_ambient_vectors(field, k)
-    seen: set = set()
-    counter = 0
-    for base in reps:
-        for v in ambient:
-            cand = system_create(field, k, list(base.basis) + [list(v)])
-            if cand.rank != rank or cand.canonical in seen:
-                continue
-            seen.add(cand.canonical)
-            if shard is not None and counter % shard[1] != shard[0]:
-                counter += 1
-                continue
-            counter += 1
-            yield cand
-
-
 def _load_checkpoint(task: SearchTask) -> dict[int, RankOutcome]:
     if not task.checkpoint:
         return {}
@@ -576,16 +520,24 @@ def _load_checkpoint(task: SearchTask) -> dict[int, RankOutcome]:
             data = json.load(fh)
     except FileNotFoundError:
         return {}
-    if data.get("task") != _task_fingerprint(task):
-        return {}
-    out = {}
-    for row in data.get("ranks", []):
-        found = None
-        if row.get("found") is not None:
-            found = system_create(task.field, task.k,
-                                  [list(g) for g in row["found"]])
-        out[row["rank"]] = RankOutcome(row["rank"], found, row["examined"],
-                                       row["reduction"], row.get("note", ""))
+    except ValueError as exc:
+        raise InvalidParams(
+            f"checkpoint {task.checkpoint} is not valid JSON: {exc}") from exc
+    try:
+        if data.get("task") != _task_fingerprint(task):
+            return {}
+        out = {}
+        for row in data.get("ranks", []):
+            found = None
+            if row.get("found") is not None:
+                found = system_create(task.field, task.k,
+                                      [list(g) for g in row["found"]])
+            out[row["rank"]] = RankOutcome(row["rank"], found, row["examined"],
+                                           row["reduction"], row.get("note", ""))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InvalidParams(
+            f"checkpoint {task.checkpoint} has a missing or malformed field: "
+            f"{exc!r}") from exc
     return out
 
 
@@ -601,14 +553,13 @@ def _save_checkpoint(task: SearchTask, outcomes: list[RankOutcome]):
             for o in outcomes
         ],
     }
-    with open(task.checkpoint, "w") as fh:
-        json.dump(data, fh)
+    write_atomic(task.checkpoint, json.dumps(data))
 
 
 def _task_fingerprint(task: SearchTask) -> str:
     return (f"{task.field.describe()} k={task.k} rho={task.rho} "
             f"range={task.rank_lo}..{task.rank_hi} red={task.reduction} "
-            f"shard={task.shard}")
+            f"shard={task.shard} budget={task.node_budget}")
 
 
 def search_table(field: Field, k_max: int, budget: Optional[int] = None,

@@ -1,5 +1,6 @@
 """CLI exit codes and external formats."""
 
+import json
 import os
 
 from ranksat.cli import main
@@ -78,6 +79,22 @@ def test_search_cli(tmp_path, capsys):
                 "--reduction", "naive"]) == 0
     out = capsys.readouterr().out
     assert "value 2" in out
+
+
+def test_search_corrupt_checkpoint(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    argv = ["search", "--q", "2", "--m", "2", "--k", "2", "--rho", "1",
+            "--rank-min", "1", "--rank-max", "3", "--reduction", "naive",
+            "--resume", str(ck)]
+    assert run(argv) == 0
+    text = ck.read_text()
+    data = json.loads(text)
+    del data["ranks"][0]["examined"]
+    for corrupt in (json.dumps(data), text[:len(text) // 2]):
+        ck.write_text(corrupt)
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert str(ck) in capsys.readouterr().err
 
 
 def test_reproduce_small_suite(capsys):

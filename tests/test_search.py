@@ -5,7 +5,8 @@ import random
 import pytest
 
 from ranksat.constructions import MooreParams, moore_system
-from ranksat.errors import InvalidParams, InvalidRho
+from ranksat.errors import (BudgetExceeded, InternalInconsistency, InvalidParams,
+                            InvalidRho)
 from ranksat.gf import field_create
 from ranksat.linalg import fqm_rank, gaussian_binomial, system_create
 from ranksat.rankcov import is_rank_saturating
@@ -25,6 +26,7 @@ F4 = field_create(2, 1, 2)
 F8 = field_create(2, 1, 3)
 F16 = field_create(2, 1, 4)
 F9 = field_create(3, 1, 2)
+F128 = field_create(2, 1, 7)
 
 
 def random_invertible(field, k, rng):
@@ -47,8 +49,7 @@ def apply_mat(field, mat, u):
 
 def test_canonical_key_orbit_invariance():
     rng = random.Random(17)
-    # odd characteristic takes the slow vector path: a few draws of rank <= 2
-    for fld, draws, max_gens in ((F8, 120, 3), (F9, 6, 2)):
+    for fld, draws, max_gens in ((F8, 120, 3), (F9, 6, 3)):
         for _ in range(draws):
             gens = [[rng.randrange(fld.order) for _ in range(2)]
                     for _ in range(rng.randrange(1, max_gens + 1))]
@@ -62,6 +63,20 @@ def test_canonical_key_orbit_invariance():
             frob = system_create(fld, 2, [[fld.frob_abs(z, j) for z in b]
                                           for b in u.basis])
             assert canonical_key(frob) == key
+
+
+def test_canonical_key_past_2_pow_20_encodings():
+    # V(3, 2^7) holds 2^21 vector encodings
+    rng = random.Random(5)
+    u = system_create(F128, 3, [[rng.randrange(128) for _ in range(3)]
+                                for _ in range(2)])
+    assert u.rank == 2
+    key = canonical_key(u)
+    assert len(key) == 3
+    twisted = apply_mat(F128, random_invertible(F128, 3, rng), u)
+    frob = system_create(F128, 3, [[F128.frob_abs(z, 3) for z in b]
+                                   for b in twisted.basis])
+    assert canonical_key(frob) == key
 
 
 def test_canonical_key_many_tied_candidates():
@@ -161,6 +176,17 @@ def test_naive_vs_canonical_small():
         assert vn == vc
 
 
+def test_naive_vs_canonical_odd_characteristic():
+    # (q=3, m=2, k=3, rho=2): value 3 with the same per-rank verdicts
+    results = [min_rank_search(SearchTask(F9, 3, 2, 2, 4, reduction=red))
+               for red in ("naive", "canonical")]
+    for res in results:
+        assert res.value == 3
+    vn, vc = ({o.rank: o.found is not None for o in res.outcomes}
+              for res in results)
+    assert vn == vc
+
+
 def test_search_values_match_table():
     table = search_table(F4, 2)
     assert table[(2, 1)] == 3  # m(k-1)+1
@@ -191,6 +217,29 @@ def test_checkpoint_roundtrip(tmp_path):
     task2 = SearchTask(F4, 2, 2, 2, 4, reduction="naive", checkpoint=ck)
     res2 = min_rank_search(task2)
     assert res2.value == 2
+
+
+def test_checkpoint_keyed_by_node_budget(tmp_path):
+    ck = str(tmp_path / "ck.json")
+    res = min_rank_search(SearchTask(F4, 2, 1, 1, 3, reduction="naive",
+                                     node_budget=1000, checkpoint=ck))
+    assert res.value == 3
+    # rank 1 alone has 15 subspaces: a reused checkpoint would hide that
+    with pytest.raises(BudgetExceeded):
+        min_rank_search(SearchTask(F4, 2, 1, 1, 3, reduction="naive",
+                                   node_budget=1, checkpoint=ck))
+
+
+def test_construction_hint_faults_propagate(monkeypatch):
+    import ranksat.constructions as constructions
+
+    def broken(params):
+        raise InternalInconsistency("solver post-check failed")
+
+    monkeypatch.setattr(constructions, "moore_system", broken)
+    # (k, rho, rank) = (2, 1, 3) is the Moore hint's rank m(t-1) + rho
+    with pytest.raises(InternalInconsistency):
+        min_rank_search(SearchTask(F4, 2, 1, 3, 3, reduction="naive"))
 
 
 def test_task_validation():
