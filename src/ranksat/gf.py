@@ -262,51 +262,19 @@ class Field:
         self._exp, self._log = exp, log
 
     def _build_tables_gf2_fast(self):
-        """Vectorized antilog construction for big characteristic-2 fields."""
-        deg, f = self.degree, self._mod_int
-        himax = 1 << (deg - 1)
-        # byte tables reducing the overflow bits of a 2*deg-1 bit product
-        nch = (deg - 1 + 7) // 8
-        red = []
-        for c in range(nch):
-            t = np.zeros(256, dtype=np.int64)
-            for v in range(1, 256):
-                low = v & -v
-                j = c * 8 + low.bit_length() - 1
-                if (1 << j) < himax:
-                    x = 1 << (j + deg)
-                    for k in range(j + deg, deg - 1, -1):
-                        if x >> k & 1:
-                            x ^= f << (k - deg)
-                    t[v] = t[v ^ low] ^ x
-                else:
-                    t[v] = t[v ^ low]
-            red.append(t)
-        mask = (1 << deg) - 1
+        """Vectorized antilog construction for big characteristic-2 fields.
 
-        def reduce_vec(x):
-            hi = x >> deg
-            out = x & mask
-            for c in range(nch):
-                out ^= red[c][(hi >> (8 * c)) & 0xFF]
-            return out
-
-        n = self._group_order
+        Doubling: g^(size+k) = g^size * g^k, and multiplying by a constant
+        is F_2-linear, so each step is one bit-linear map on a block."""
+        n, deg = self._group_order, self.degree
         exp = np.zeros(n, dtype=np.int64)
         exp[0] = 1
         size = 1
         while size < n:
             c = self._mul_raw(int(exp[size - 1]), self.generator)
             blk = min(size, n - size)
-            acc = np.zeros(blk, dtype=np.int64)
-            cc = c
-            sh = 0
-            while cc:
-                if cc & 1:
-                    acc ^= exp[:blk] << sh
-                cc >>= 1
-                sh += 1
-            exp[size:size + blk] = reduce_vec(acc)
+            times_c = BitLinearMap([self._mul_raw(c, 1 << j) for j in range(deg)], deg)
+            exp[size:size + blk] = times_c.apply(exp[:blk])
             size += blk
         log = np.zeros(self.order, dtype=np.int64)
         log[exp] = np.arange(n, dtype=np.int64)

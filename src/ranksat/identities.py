@@ -19,6 +19,7 @@ q even, m = 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,6 +46,23 @@ from .rankcov import one_saturated
 # small symbolic layer: polynomials in x, y with function-canonical exponents
 # ----------------------------------------------------------------------
 
+def _fold(field: Field, e: int) -> int:
+    """Function-canonical exponent: 0 stays, e >= 1 goes to
+    ((e-1) mod (order-1)) + 1."""
+    return (e - 1) % (field.order - 1) + 1 if e else 0
+
+
+def _sq(fld: Field, z: int) -> int:
+    return fld.mul(z, z)
+
+
+def _fsum(fld: Field, *terms: int) -> int:
+    out = 0
+    for t in terms:
+        out = fld.add(out, t)
+    return out
+
+
 class QPoly:
     """Polynomial in x and y over the big field, exponents folded so that
     equal dictionaries mean equal functions on the field (and conversely).
@@ -64,16 +82,10 @@ class QPoly:
                 if c:
                     self.terms[key] = c
 
-    def _fold(self, e: int) -> int:
-        if e == 0:
-            return 0
-        n = self.field.order - 1
-        return (e - 1) % n + 1
-
     @classmethod
     def ypow(cls, field: Field, e: int, c: int = 1) -> "QPoly":
         p = cls(field)
-        p.terms = {(0, p._fold(e)): c} if c else {}
+        p.terms = {(0, _fold(field, e)): c} if c else {}
         return p
 
     def __add__(self, other: "QPoly") -> "QPoly":
@@ -94,7 +106,7 @@ class QPoly:
         out: dict = {}
         for (ex1, ey1), c1 in self.terms.items():
             for (ex2, ey2), c2 in other.terms.items():
-                key = (self._fold(ex1 + ex2), self._fold(ey1 + ey2))
+                key = (_fold(fld, ex1 + ex2), _fold(fld, ey1 + ey2))
                 s = fld.add(out.get(key, 0), fld.mul(c1, c2))
                 if s:
                     out[key] = s
@@ -117,7 +129,7 @@ class QPoly:
         e = fld.q ** i
         res = QPoly(fld)
         for (ex, ey), c in self.terms.items():
-            key = (self._fold(ex * e), self._fold(ey * e))
+            key = (_fold(fld, ex * e), _fold(fld, ey * e))
             res.terms[key] = fld.pow(c, e)
         return res
 
@@ -203,37 +215,44 @@ class AppendixContext:
 # tabulated closed forms in the variable C
 # ----------------------------------------------------------------------
 
-def _tr(fld: Field, z: int) -> int:
-    return fld.trace(z)
-
-
 def d_tabulated(ctx: AppendixContext, c: int) -> int:
     fld, q = ctx.field, ctx.q
     a, b = ctx.alpha, ctx.beta
     P = fld.pow
     M = fld.mul
     A = fld.add
+    T = fld.trace
     inner = M(A(P(a, 4), 1), P(c, 4))
-    inner = A(inner, M(M(M(a, P(A(a, 1), 2)), _tr(fld, b)), P(c, 3)))
-    t2 = A(A(M(P(a, 4), P(b, q**3 + q)), M(P(a, 2), _tr(fld, P(b, q + 1)))),
+    inner = A(inner, M(M(M(a, P(A(a, 1), 2)), T(b)), P(c, 3)))
+    t2 = A(A(M(P(a, 4), P(b, q**3 + q)), M(P(a, 2), T(P(b, q + 1)))),
            P(b, q**2 + 1))
     inner = A(inner, M(t2, P(c, 2)))
     t1 = A(A(M(P(a, 2), A(P(b, q**3 + q + 1), P(b, q**3 + q**2 + q))),
-             M(a, _tr(fld, b))),
+             M(a, T(b))),
            A(P(b, q**2 + q + 1), P(b, q**3 + q**2 + 1)))
     inner = A(inner, M(M(a, t1), c))
     inner = A(inner, M(P(a, 2), A(fld.norm(b), 1)))
     return M(inner, inner)
 
 
-def d_derived(ctx: AppendixContext, c: int) -> int:
-    """Dickson determinant of y -> C^2 y^q + y^{q^2} + (C^2 a^2 + b^2) y^{q^3}."""
+def _fac_coeffs(ctx: AppendixContext, c: int) -> list[int]:
+    """q-coefficients of the pivot kernel map
+    fac(y) = C^2 y^q + y^{q^2} + (C^2 a^2 + b^2) y^{q^3}."""
     fld = ctx.field
-    c2 = fld.mul(c, c)
-    a2 = fld.mul(ctx.alpha, ctx.alpha)
-    b2 = fld.mul(ctx.beta, ctx.beta)
-    lp = LinPoly(fld, [0, c2, 1, fld.add(fld.mul(c2, a2), b2)])
-    return lp.dickson_det()
+    c2 = _sq(fld, c)
+    return [0, c2, 1, fld.add(fld.mul(c2, _sq(fld, ctx.alpha)), _sq(fld, ctx.beta))]
+
+
+def _dickson_det_vec(fld: Field, coeffs: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise Dickson determinant of sum_i coeffs[i] y^{q^i} (arrays)."""
+    m = len(coeffs)
+    return det_vec(fld, [[fld.vfrob(coeffs[(j - i) % m], i) for j in range(m)]
+                         for i in range(m)])
+
+
+def d_derived(ctx: AppendixContext, c: int) -> int:
+    """Dickson determinant of the pivot map fac."""
+    return LinPoly(ctx.field, _fac_coeffs(ctx, c)).dickson_det()
 
 
 def d_derived_vec(ctx: AppendixContext, cs: np.ndarray) -> np.ndarray:
@@ -242,12 +261,9 @@ def d_derived_vec(ctx: AppendixContext, cs: np.ndarray) -> np.ndarray:
     c2 = fld.vmul(cs, cs)
     a2 = fld.mul(ctx.alpha, ctx.alpha)
     b2 = fld.mul(ctx.beta, ctx.beta)
-    coeffs = [np.zeros(len(cs), dtype=np.int64), c2,
-              np.ones(len(cs), dtype=np.int64),
-              fld.vadd(fld.vmul(c2, np.int64(a2)), np.int64(b2))]
-    m = 4
-    mat = [[fld.vfrob(coeffs[(j - i) % m], i) for j in range(m)] for i in range(m)]
-    return det_vec(fld, mat)
+    return _dickson_det_vec(fld, [np.zeros(len(cs), dtype=np.int64), c2,
+                                  np.ones(len(cs), dtype=np.int64),
+                                  fld.vadd(fld.vmul(c2, np.int64(a2)), np.int64(b2))])
 
 
 def _f_terms(ctx: AppendixContext) -> list[tuple[int, int]]:
@@ -278,12 +294,13 @@ def _f_terms(ctx: AppendixContext) -> list[tuple[int, int]]:
     ]
 
 
+def _terms_at(fld: Field, terms: list[tuple[int, int]], c: int) -> int:
+    """sum of coeff * c^e over (coeff, e) pairs."""
+    return _fsum(fld, *(fld.mul(coeff, fld.pow(c, e)) for coeff, e in terms))
+
+
 def f_tabulated(ctx: AppendixContext, c: int) -> int:
-    fld = ctx.field
-    out = 0
-    for coeff, e in _f_terms(ctx):
-        out = fld.add(out, fld.mul(coeff, fld.pow(c, e)))
-    return out
+    return _terms_at(ctx.field, _f_terms(ctx), c)
 
 
 def f_tabulated_vec(ctx: AppendixContext, cs: np.ndarray) -> np.ndarray:
@@ -357,26 +374,19 @@ def g_tabulated(ctx: AppendixContext, c: int) -> int:
     q3 = q ** 3
     narg = A(A(A(A(M(a, P(c, q + 1)), M(a, P(c, q3 + 1))),
                 M(M(P(a, 2), P(b, q)), c)), M(b, P(c, q))), M(a, P(b, q + 1)))
-    out = fld.norm(narg)
-    for terms in (_g_factor2_terms(ctx), _g_factor3_terms(ctx)):
-        fac = 0
-        for coeff, e in terms:
-            fac = A(fac, M(coeff, fld.pow(c, e)))
-        out = M(out, fac)
-    return out
+    return M(M(fld.norm(narg), _terms_at(fld, _g_factor2_terms(ctx), c)),
+             _terms_at(fld, _g_factor3_terms(ctx), c))
 
 
 # ----------------------------------------------------------------------
 # the kernel-coefficient products a_ij and the reduced map M
 # ----------------------------------------------------------------------
 
-def _a_factors(ctx: AppendixContext, c):
-    """Shared factors of the a_ij products; works on scalars or arrays."""
+def _a_factors(ctx: AppendixContext, cs: np.ndarray):
+    """Shared factors of the a_ij products, elementwise over an array."""
     fld, q = ctx.field, ctx.q
     a, b = ctx.alpha, ctx.beta
     q2, q3 = q * q, q ** 3
-    scalar = np.isscalar(c)
-    cs = np.asarray([c] if scalar else c, dtype=np.int64)
     V, M, A = fld.vpow, fld.vmul, fld.vadd
 
     def cp(e):
@@ -402,10 +412,7 @@ def _a_factors(ctx: AppendixContext, c):
            s(fld.mul(a, fld.pow(b, q2 + q))))
     t6 = A(A(M(cp(q3 + q2), s(a)), M(cp(q3), s(fld.pow(b, q2)))),
            s(1))
-    out = (t1, t2, t3, t4, t5, t6)
-    if scalar:
-        return tuple(int(t[0]) for t in out)
-    return out
+    return t1, t2, t3, t4, t5, t6
 
 
 def a_coefficients(ctx: AppendixContext, c):
@@ -440,15 +447,7 @@ def g_derived_vec(ctx: AppendixContext, cs: np.ndarray) -> np.ndarray:
     fld = ctx.field
     cs = np.asarray(cs, dtype=np.int64)
     a00, _a01, a02, _a10, _a11, a20 = a_coefficients(ctx, cs)
-    zero = np.zeros(len(cs), dtype=np.int64)
-    F = fld.vfrob
-    mat = [
-        [zero, a20, a02, a00],
-        [F(a00, 1), zero, F(a20, 1), F(a02, 1)],
-        [F(a02, 2), F(a00, 2), zero, F(a20, 2)],
-        [F(a20, 3), F(a02, 3), F(a00, 3), zero],
-    ]
-    return det_vec(fld, mat)
+    return _dickson_det_vec(fld, [np.zeros(len(cs), dtype=np.int64), a20, a02, a00])
 
 
 def m_poly(ctx: AppendixContext, c: int) -> QPoly:
@@ -467,17 +466,13 @@ def m_poly(ctx: AppendixContext, c: int) -> QPoly:
     }
     p = QPoly(fld)
     for (ex, ey), coeff in terms.items():
-        p = p + QPoly(fld, {(ex, p._fold(ey)): coeff})
+        p = p + QPoly(fld, {(ex, _fold(fld, ey)): coeff})
     return p
 
 
 # ----------------------------------------------------------------------
 # the F/G/H combination chain (built in the squared parameters)
 # ----------------------------------------------------------------------
-
-def _sq(fld: Field, z: int) -> int:
-    return fld.mul(z, z)
-
 
 def f0_poly(ctx: AppendixContext, c: int) -> QPoly:
     """The secant determinant form for the distinguished point, as displayed
@@ -502,8 +497,8 @@ def f0_derived_poly(ctx: AppendixContext, c: int) -> QPoly:
     q = ctx.q
     c2, a2, b2 = _sq(fld, c), _sq(fld, ctx.alpha), _sq(fld, ctx.beta)
     q2, q3 = q * q, q ** 3
-    X = lambda e, co=1: QPoly(fld, {(QPoly(fld)._fold(e), 0): co})
-    Y = lambda e, co=1: QPoly(fld, {(0, QPoly(fld)._fold(e)): co})
+    X = lambda e, co=1: QPoly(fld, {(_fold(fld, e), 0): co})
+    Y = lambda e, co=1: QPoly(fld, {(0, _fold(fld, e)): co})
     col1_x, col1_y = X(1), Y(1)
     col2_x = X(q) + X(q3, a2)
     col2_y = Y(q) + Y(q3, a2)
@@ -516,43 +511,44 @@ def f0_derived_poly(ctx: AppendixContext, c: int) -> QPoly:
 
 
 def _fac_y(ctx: AppendixContext, c: int) -> QPoly:
-    """C^2 y^q + y^{q^2} + (C^2 a^2 + b^2) y^{q^3}, the pivot kernel map."""
+    """The pivot kernel map fac as a y-polynomial."""
+    fld, q = ctx.field, ctx.q
+    return QPoly(fld, {(0, _fold(fld, q ** i)): co
+                       for i, co in enumerate(_fac_coeffs(ctx, c))})
+
+
+def _g_multipliers(ctx: AppendixContext, c: int, f0: QPoly) -> list[tuple[int, int]]:
+    """(lambda_i, mu_i) for i = 1, 2, 3, where
+    G_i = lambda_i fac F0^{q^i} + mu_i y^{q^i} F0.
+
+    mu_i is the tabulated multiplier and lambda_i the unique scalar making
+    the x-linear terms cancel (the defining structural property of the G's):
+    mu_i over the x-linear coefficient of F0^{q^i}, or 1 when there is no
+    x-linear term to cancel."""
     fld, q = ctx.field, ctx.q
     c2, a2, b2 = _sq(fld, c), _sq(fld, ctx.alpha), _sq(fld, ctx.beta)
-    return (QPoly.ypow(fld, q, c2) + QPoly.ypow(fld, q * q, 1)
-            + QPoly.ypow(fld, q ** 3, fld.add(fld.mul(c2, a2), b2)))
+    mus = (fld.add(fld.pow(c2, q), fld.mul(a2, fld.pow(b2, q))),
+           1,
+           fld.mul(fld.pow(c2, q ** 3), a2))
+    out = []
+    for i, mu in zip((1, 2, 3), mus):
+        e = _fold(fld, q ** i)
+        xlin = {ey: co for (ex, ey), co in f0.frob(i).terms.items() if ex == 1}
+        if len(xlin) > 1 or (xlin and e not in xlin):
+            raise IdentityViolation("conjugate x-linear term off pattern")
+        co = xlin.get(e, 0)
+        out.append((fld.div(mu, co) if co else 1, mu))
+    return out
 
 
 def g_chain_polys(ctx: AppendixContext, c: int) -> tuple[QPoly, QPoly, QPoly, QPoly]:
-    """(F0, G1, G2, G3) for the fixed c.
-
-    G_i is built as fac * (lambda_i F0^{q^i}) + mu_i y^{q^i} F0 with mu_i the
-    tabulated multiplier and lambda_i the unique scalar making the x-linear
-    terms cancel (the defining structural property of the G's); the
-    conjugates carry that normalization implicitly."""
+    """(F0, G1, G2, G3) for the fixed c, built from _g_multipliers."""
     fld, q = ctx.field, ctx.q
-    c2, a2 = _sq(fld, c), _sq(fld, ctx.alpha)
-    b2 = _sq(fld, ctx.beta)
     f0 = f0_poly(ctx, c)
     fac = _fac_y(ctx, c)
-    c2q = fld.pow(c2, q)
-    mus = (fld.add(c2q, fld.mul(a2, fld.pow(b2, q))),
-           1,
-           fld.mul(fld.pow(c2, q ** 3), a2))
-    # x-linear coefficient of F0 itself is fac as a y-polynomial
     out = []
-    for i, mu in zip((1, 2, 3), mus):
-        fi = f0.frob(i)
-        xlin = {ey: co for (ex, ey), co in fi.terms.items() if ex == 1}
-        if len(xlin) > 1 or (xlin and QPoly(fld)._fold(q ** i) not in xlin):
-            raise IdentityViolation("conjugate x-linear term off pattern")
-        co = xlin.get(QPoly(fld)._fold(q ** i), 0)
-        if co:
-            lam = fld.div(mu, co)
-            g = fac * fi.scale(lam) + QPoly.ypow(fld, q ** i, mu) * f0
-        else:
-            # no x-linear term to cancel; keep the tabulated multiplier
-            g = fac * fi + QPoly.ypow(fld, q ** i, mu) * f0
+    for i, (lam, mu) in enumerate(_g_multipliers(ctx, c, f0), start=1):
+        g = fac * f0.frob(i).scale(lam) + QPoly.ypow(fld, q ** i, mu) * f0
         if 1 in g.x_exponents():
             raise IdentityViolation("x-linear cancellation failed")
         out.append(g)
@@ -561,7 +557,7 @@ def g_chain_polys(ctx: AppendixContext, c: int) -> tuple[QPoly, QPoly, QPoly, QP
 
 def _xq_coefficient(ctx: AppendixContext, p: QPoly) -> QPoly:
     fld = ctx.field
-    e = QPoly(fld)._fold(ctx.q)
+    e = _fold(fld, ctx.q)
     return QPoly(fld, {(0, ey): co for (ex, ey), co in p.terms.items() if ex == e})
 
 
@@ -608,12 +604,17 @@ def uvw_tabulated(ctx: AppendixContext, c: int) -> tuple[QPoly, QPoly, QPoly]:
     return u, v, w
 
 
-def h_polys(ctx: AppendixContext, c: int) -> tuple[QPoly, QPoly]:
-    """H1 = u G1 + v G2 and H2 = w G1 + v G3, with derived multipliers."""
-    chain = g_chain_polys(ctx, c)
+def _h_pair(chain: tuple, uvw: tuple) -> tuple[QPoly, QPoly]:
+    """H1 = u G1 + v G2 and H2 = w G1 + v G3."""
     _f0, g1, g2, g3 = chain
-    u, v, w = uvw_derived(ctx, c, chain)
+    u, v, w = uvw
     return u * g1 + v * g2, w * g1 + v * g3
+
+
+def h_polys(ctx: AppendixContext, c: int) -> tuple[QPoly, QPoly]:
+    """The H pair with derived multipliers."""
+    chain = g_chain_polys(ctx, c)
+    return _h_pair(chain, uvw_derived(ctx, c, chain))
 
 
 _L_EXPONENTS = ((0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1),
@@ -629,14 +630,9 @@ def l1_tabulated_coeffs(ctx: AppendixContext, c: int) -> dict[int, int]:
     """Tabulated coefficients of L1, keyed by y-exponent q^i + q^j."""
     fld, q = ctx.field, ctx.q
     c2, a2, b2 = _sq(fld, c), _sq(fld, ctx.alpha), _sq(fld, ctx.beta)
-    P, M, A = fld.pow, fld.mul, fld.add
+    P, M = fld.pow, fld.mul
     q2, q3 = q * q, q ** 3
-
-    def S(*terms):
-        out = 0
-        for t in terms:
-            out = A(out, t)
-        return out
+    S = partial(_fsum, fld)
 
     co = {
         2: S(M(P(c2, q + 1), a2), M(c2, M(P(a2, 2), P(b2, q))),
@@ -669,14 +665,9 @@ def l1_tabulated_coeffs(ctx: AppendixContext, c: int) -> dict[int, int]:
 def l2_tabulated_coeffs(ctx: AppendixContext, c: int) -> dict[int, int]:
     fld, q = ctx.field, ctx.q
     c2, a2, b2 = _sq(fld, c), _sq(fld, ctx.alpha), _sq(fld, ctx.beta)
-    P, M, A = fld.pow, fld.mul, fld.add
+    P, M = fld.pow, fld.mul
     q2, q3 = q * q, q ** 3
-
-    def S(*terms):
-        out = 0
-        for t in terms:
-            out = A(out, t)
-        return out
+    S = partial(_fsum, fld)
 
     co = {
         2: S(M(P(c2, q3 + q2), a2), M(P(c2, q3), M(P(a2, 2), P(b2, q)))),
@@ -733,15 +724,10 @@ def uv_tabulated_polys(ctx: AppendixContext, c: int) -> tuple[QPoly, QPoly]:
     """The tabulated numerator/denominator pair of the kernel-root formula."""
     fld, q = ctx.field, ctx.q
     c2, a2, b2 = _sq(fld, c), _sq(fld, ctx.alpha), _sq(fld, ctx.beta)
-    P, M, A = fld.pow, fld.mul, fld.add
+    P, M = fld.pow, fld.mul
     q2, q3 = q * q, q ** 3
     Y = QPoly.ypow
-
-    def S(*terms):
-        out = 0
-        for t in terms:
-            out = A(out, t)
-        return out
+    S = partial(_fsum, fld)
 
     a4, a6, a8 = P(a2, 2), P(a2, 3), P(a2, 4)
     inner = (Y(fld, q, S(M(P(c2, q + 1), a4), M(P(c2, q), M(a2, b2)),
@@ -818,7 +804,7 @@ class GammaReport:
         return not self.failures
 
 
-def verify_gamma_unsaturated(ctx: AppendixContext, strict: bool = False) -> GammaReport:
+def verify_gamma_unsaturated(ctx: AppendixContext) -> GammaReport:
     """For every member c: the point (0:1:c) is not 1-saturated by the
     linear set of U_{alpha,beta}.
 
@@ -840,10 +826,6 @@ def verify_gamma_unsaturated(ctx: AppendixContext, strict: bool = False) -> Gamm
         pt = Point(fld, (0, 1, c2))
         if one_saturated(fld, ls.points, pt):
             failures.append((ctx.alpha, ctx.beta, c))
-            if strict:
-                raise AssertionFailed(
-                    f"(0:1:{c}) is 1-saturated for alpha={ctx.alpha}, "
-                    f"beta={ctx.beta}")
     return GammaReport(ctx.alpha, ctx.beta, gamma, len(gamma), failures, False)
 
 
@@ -873,7 +855,6 @@ def _divide_cofactor(ctx: AppendixContext, c: int, apoly: QPoly,
     fld, q = ctx.field, ctx.q
     fac = _fac_y(ctx, c)
     exps = _l_exponent_list(q)
-    cols = []
     keys: set = set(apoly.terms)
     prods = []
     for e in exps:
@@ -898,7 +879,7 @@ def verify_identities(ctx: AppendixContext, c: int,
     reported as findings with the smallest differing monomial."""
     fld, q = ctx.field, ctx.q
     q2, q3 = q * q, q ** 3
-    fold = QPoly(fld)._fold
+    fold = partial(_fold, fld)
     checks: dict = {}
     findings: dict = {}
 
@@ -908,7 +889,7 @@ def verify_identities(ctx: AppendixContext, c: int,
 
     try:
         chain = g_chain_polys(ctx, c)
-    except Exception as exc:
+    except IdentityViolation as exc:
         checks["g_x_support"] = f"violated ({exc})"
         return IdentityReport(c, checks, findings, None, None)
     _f0b, g1, g2, g3 = chain
@@ -920,8 +901,7 @@ def verify_identities(ctx: AppendixContext, c: int,
     ut, vt, wt = uvw_tabulated(ctx, c)
     for name, der, tab in (("u", u, ut), ("v", v, vt), ("w", w, wt)):
         findings[name] = "ok" if der == tab else f"diff {der.diff(tab)[:3]}"
-    h1p = u * g1 + v * g2
-    h2p = w * g1 + v * g3
+    h1p, h2p = _h_pair(chain, (u, v, w))
     hsup = {fold(q2), fold(q3)}
     checks["h_x_support"] = ("ok" if (h1p.x_exponents() <= hsup
                                       and h2p.x_exponents() <= hsup) else "violated")
@@ -1020,60 +1000,28 @@ def _numeric_identity_sweep(ctx: AppendixContext, c: int,
     """Pointwise evaluation of the combination chain against its factored form.
 
     xs, ys must enumerate grid points by value (entry == field encoding), so
-    y-only polynomials are evaluated once per element and gather-expanded."""
-    fld, q = ctx.field, ctx.q
-    q3 = q ** 3
-    c2 = _sq(fld, c)
-    a2 = _sq(fld, ctx.alpha)
-    b2 = _sq(fld, ctx.beta)
-    cf = fld.add(fld.mul(c2, a2), b2)
-    mu1 = fld.add(fld.pow(c2, q), fld.mul(a2, fld.pow(b2, q)))
-    mu3 = fld.mul(fld.pow(c2, q3), a2)
+    y-only factors are formed once per field element and gather-expanded."""
+    fld = ctx.field
     elems = np.arange(fld.order, dtype=np.int64)
     zero = np.zeros(len(elems), dtype=np.int64)
-
-    def lin_vals(co1, co2, co3):
-        out = fld.vmul(np.int64(co1), fld.vfrob(elems, 1))
-        out = fld.vadd(out, fld.vmul(np.int64(co2), fld.vfrob(elems, 2)))
-        return fld.vadd(out, fld.vmul(np.int64(co3), fld.vfrob(elems, 3)))
-
-    fac_vals = lin_vals(c2, 1, cf)
+    fac = LinPoly(fld, _fac_coeffs(ctx, c)).eval_vec(elems)
     # F0(x, y) = x * fac(y) + y * fac(x)
-    f0v = fld.vadd(fld.vmul(xs, fac_vals[ys]), fld.vmul(ys, fac_vals[xs]))
-    u, v, w = uvw
-    u_vals = u.eval_vec(zero, elems)
-    v_vals = v.eval_vec(zero, elems)
-    w_vals = w.eval_vec(zero, elems)
-    if cf == 0 or c2 == 0:
-        chain = g_chain_polys(ctx, c)
-        g1v = chain[1].eval_vec(xs, ys)
-        g2v = chain[2].eval_vec(xs, ys)
-        g3v = chain[3].eval_vec(xs, ys)
-    else:
-        lam1 = fld.div(mu1, fld.pow(cf, q))
-        lam3 = fld.div(mu3, fld.pow(c2, q3))
-        f1v = fld.vfrob(f0v, 1)
-        f2v = fld.vfrob(f0v, 2)
-        f3v = fld.vfrob(f0v, 3)
-        yq_vals = fld.vfrob(elems, 1)
-        g1v = fld.vadd(fld.vmul(fld.vmul(np.int64(lam1), fac_vals[ys]), f1v),
-                       fld.vmul(fld.vmul(np.int64(mu1), yq_vals[ys]), f0v))
-        g2v = fld.vadd(fld.vmul(fac_vals[ys], f2v),
-                       fld.vmul(fld.vfrob(elems, 2)[ys], f0v))
-        g3v = fld.vadd(fld.vmul(fld.vmul(np.int64(lam3), fac_vals[ys]), f3v),
-                       fld.vmul(fld.vmul(np.int64(mu3), fld.vfrob(elems, 3)[ys]),
-                                f0v))
-    h1v = fld.vadd(fld.vmul(u_vals[ys], g1v), fld.vmul(v_vals[ys], g2v))
-    h2v = fld.vadd(fld.vmul(w_vals[ys], g1v), fld.vmul(v_vals[ys], g3v))
+    f0v = fld.vadd(fld.vmul(xs, fac[ys]), fld.vmul(ys, fac[xs]))
+    gv = []
+    for i, (lam, mu) in enumerate(_g_multipliers(ctx, c, f0_poly(ctx, c)), start=1):
+        lam_fac = fld.vmul(np.int64(lam), fac)
+        mu_yq = fld.vmul(np.int64(mu), fld.vfrob(elems, i))
+        gv.append(fld.vadd(fld.vmul(lam_fac[ys], fld.vfrob(f0v, i)),
+                           fld.vmul(mu_yq[ys], f0v)))
+    g1v, g2v, g3v = gv
+    u, v, w = (p.eval_vec(zero, elems) for p in uvw)
+    h1v = fld.vadd(fld.vmul(u[ys], g1v), fld.vmul(v[ys], g2v))
+    h2v = fld.vadd(fld.vmul(w[ys], g1v), fld.vmul(v[ys], g3v))
     xq = fld.vfrob(elems, 1)
     cross = fld.vfrob(fld.vadd(fld.vmul(xs, xq[ys]), fld.vmul(xq[xs], ys)), 2)
     for hv, ld in ((h1v, l1d), (h2v, l2d)):
-        lv = np.zeros(len(elems), dtype=np.int64)
-        for e, co in ld.items():
-            if co:
-                lv = fld.vadd(lv, fld.vmul(np.int64(co), fld.vpow(elems, e)))
-        rhs = fld.vmul(fld.vmul(fac_vals[ys], cross), lv[ys])
-        if not np.array_equal(hv, rhs):
+        fac_l = fld.vmul(fac, _coeffs_to_poly(ctx, ld).eval_vec(zero, elems))
+        if not np.array_equal(hv, fld.vmul(fac_l[ys], cross)):
             return False
     return True
 
@@ -1099,12 +1047,7 @@ def h_family_eval(fld: Field, beta: int, z: int) -> tuple[int, int, int, int]:
     q2, q3 = q * q, q ** 3
     M, A, P, T = fld.mul, fld.add, fld.pow, fld.trace
     b = beta
-
-    def S(*terms):
-        out = 0
-        for t in terms:
-            out = A(out, t)
-        return out
+    S = partial(_fsum, fld)
 
     bq = {e: P(b, e) for e in {1, q, q2, q3, q + 1, q2 + 1, q3 + 1, q2 + q,
                                q3 + q, q3 + q2, q2 + q + 1, q3 + q + 1,
@@ -1221,6 +1164,7 @@ def scattered_pair_scan(fld: Field, a_coeffs: Sequence[int],
     callers."""
     if fld.p != 2:
         raise OddCharacteristic("the pair scan covers even q")
+    fld._need_tables()
     order = fld.order
     expected = (order - 1) // (fld.q - 1)
     amap = fld.linear_map_from_images(

@@ -73,6 +73,13 @@ def test_appendix_gamma(capsys):
     assert "finding gamma size 0" in out
 
 
+def test_appendix_delta_needs_tables(capsys):
+    # F_{64^4} is past the default table threshold; the scan needs tables
+    assert run(["appendix", "delta", "--q", "64", "--beta", "4174",
+                "--which", "0", "--z", "2065534"]) == 2
+    assert "table_threshold" in capsys.readouterr().err
+
+
 def test_search_cli(tmp_path, capsys):
     assert run(["search", "--q", "2", "--m", "2", "--k", "2", "--rho", "2",
                 "--rank-min", "2", "--rank-max", "3",

@@ -200,6 +200,13 @@ def test_big_field_fast_tables():
         y = rng.randrange(fld.order)
         assert fld.mul(x, y) == ref.mul(x, y)
     assert fld.pow(fld.generator, fld.order - 1) == 1
+    # the smallest field on the fast path: exp and log are mutually inverse
+    # and exp walks the powers of the generator
+    fld = field_create(2, 1, 17, table_threshold=1 << 17)
+    n = fld.order - 1
+    assert np.array_equal(fld._log[fld._exp], np.arange(n))
+    for i in rng.sample(range(n - 1), 200):
+        assert int(fld._exp[i + 1]) == fld._mul_raw(int(fld._exp[i]), fld.generator)
 
 
 def test_untabled_field_scalar_path():

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from ranksat import identities
 from ranksat.constructions import normalized_alphas, normalized_betas
 from ranksat.errors import (
+    IdentityViolation,
+    InternalInconsistency,
     InvalidBeta,
     InvalidCaseParams,
     MissingBinding,
@@ -29,6 +32,7 @@ from ranksat.identities import (
     r0_eval,
     scattered_pair_scan,
     uv_tabulated_polys,
+    uvw_derived,
     verify_delta_unsaturated,
     verify_gamma_unsaturated,
     verify_identities,
@@ -104,6 +108,43 @@ def test_identity_chain_sample_q4():
     for c in (0, 1, 7, 100, 201):
         rep = verify_identities(ctx, c, numeric=True)
         assert rep.ok_derived, (c, rep.checks)
+
+
+def test_numeric_sweep_rejects_a_flipped_l_coefficient():
+    # at C = 0 and C = beta/alpha (C^2 a^2 + b^2 = 0) an x-linear
+    # coefficient of the G chain vanishes
+    q4ctx = AppendixContext(F256, normalized_alphas(F256)[1], normalized_betas(F256)[2])
+    for ctx, c, flips in ((ctx16(), 0, None), (ctx16(), 5, None), (ctx16(), 13, None),
+                          (q4ctx, 100, 1)):
+        n = ctx.field.order
+        xs = np.repeat(np.arange(n, dtype=np.int64), n)
+        ys = np.tile(np.arange(n, dtype=np.int64), n)
+        rep = verify_identities(ctx, c, numeric=False)
+        ls = (rep.l1_derived, rep.l2_derived)
+        uvw = uvw_derived(ctx, c)
+        assert identities._numeric_identity_sweep(ctx, c, *ls, xs, ys, uvw)
+        for which in (0, 1):
+            for e in sorted(ls[which])[:flips]:
+                bad = [dict(ls[0]), dict(ls[1])]
+                bad[which][e] ^= 1
+                assert not identities._numeric_identity_sweep(ctx, c, *bad, xs, ys, uvw), \
+                    (ctx.field.q, c, which, e)
+
+
+def test_chain_faults_are_not_read_as_violations(monkeypatch):
+    def raise_with(exc):
+        def fake(*args):
+            raise exc
+        return fake
+
+    monkeypatch.setattr(identities, "_g_multipliers",
+                        raise_with(IdentityViolation("off pattern")))
+    rep = verify_identities(ctx16(), 3)
+    assert rep.checks["g_x_support"].startswith("violated")
+    monkeypatch.setattr(identities, "_g_multipliers",
+                        raise_with(InternalInconsistency("bug")))
+    with pytest.raises(InternalInconsistency):
+        verify_identities(ctx16(), 3)
 
 
 def test_uvw_tabulated_match_derived_generically():
