@@ -243,6 +243,17 @@ def _fac_coeffs(ctx: AppendixContext, c: int) -> list[int]:
     return [0, c2, 1, fld.add(fld.mul(c2, _sq(fld, ctx.alpha)), _sq(fld, ctx.beta))]
 
 
+def _fac_coeffs_vec(ctx: AppendixContext, cs: np.ndarray) -> list[np.ndarray]:
+    """_fac_coeffs for an array of C values, one array per q-coefficient."""
+    fld = ctx.field
+    cs = np.asarray(cs, dtype=np.int64)
+    c2 = fld.vmul(cs, cs)
+    last = fld.vadd(fld.vmul(c2, np.int64(_sq(fld, ctx.alpha))),
+                    np.int64(_sq(fld, ctx.beta)))
+    return [np.zeros(len(cs), dtype=np.int64), c2,
+            np.ones(len(cs), dtype=np.int64), last]
+
+
 def _dickson_det_vec(fld: Field, coeffs: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise Dickson determinant of sum_i coeffs[i] y^{q^i} (arrays)."""
     m = len(coeffs)
@@ -256,14 +267,7 @@ def d_derived(ctx: AppendixContext, c: int) -> int:
 
 
 def d_derived_vec(ctx: AppendixContext, cs: np.ndarray) -> np.ndarray:
-    fld = ctx.field
-    cs = np.asarray(cs, dtype=np.int64)
-    c2 = fld.vmul(cs, cs)
-    a2 = fld.mul(ctx.alpha, ctx.alpha)
-    b2 = fld.mul(ctx.beta, ctx.beta)
-    return _dickson_det_vec(fld, [np.zeros(len(cs), dtype=np.int64), c2,
-                                  np.ones(len(cs), dtype=np.int64),
-                                  fld.vadd(fld.vmul(c2, np.int64(a2)), np.int64(b2))])
+    return _dickson_det_vec(ctx.field, _fac_coeffs_vec(ctx, cs))
 
 
 def _f_terms(ctx: AppendixContext) -> list[tuple[int, int]]:
@@ -779,14 +783,13 @@ def gamma_set(ctx: AppendixContext) -> tuple[int, ...]:
     sel = cs[f_tabulated_vec(ctx, cs) == 0]
     if not len(sel):
         return ()
-    c2 = fld.vmul(sel, sel)
-    e1 = fld.vadd(fld.vmul(c2, np.int64(a2)), np.int64(b2))
+    fac = _fac_coeffs_vec(ctx, sel)
     e2 = fld.vadd(fld.vadd(fld.vmul(fld.vpow(sel, 2 * q + 2), np.int64(a2)),
                            fld.vmul(fld.vpow(sel, 2 * q), np.int64(b2))),
                   np.ones(len(sel), dtype=np.int64))
-    dd = d_derived_vec(ctx, sel)
+    dd = _dickson_det_vec(fld, fac)
     gg = g_derived_vec(ctx, sel)
-    keep = (e1 != 0) & (e2 != 0) & (dd != 0) & (gg != 0)
+    keep = (fac[3] != 0) & (e2 != 0) & (dd != 0) & (gg != 0)  # fac[3] = C^2 a^2 + b^2
     return tuple(int(v) for v in sel[keep])
 
 
@@ -870,6 +873,27 @@ def _divide_cofactor(ctx: AppendixContext, c: int, apoly: QPoly,
     return {e: v for e, v in zip(exps, sol)}
 
 
+def _l_pair(ctx: AppendixContext, c: int, hpair: tuple,
+            checks: dict) -> tuple[Optional[dict], Optional[dict]]:
+    """The derived (L1, L2): each H's x^{q^2} part divided by fac(y) y^{q^3},
+    None where the division is not exact.  Records the h_cross and
+    l_division checks in `checks`."""
+    fld, q = ctx.field, ctx.q
+    q2, q3 = q * q, q ** 3
+    fold = partial(_fold, fld)
+    out = []
+    for name, hp in zip(("L1", "L2"), hpair):
+        parts = hp.by_x()
+        apart = QPoly(fld, {(0, ey): co for ey, co in parts.get(fold(q2), {}).items()})
+        bpart = QPoly(fld, {(0, ey): co for ey, co in parts.get(fold(q3), {}).items()})
+        cross_ok = (apart * QPoly.ypow(fld, q2)) == (bpart * QPoly.ypow(fld, q3))
+        checks[f"h_cross_{name}"] = "ok" if cross_ok else "violated"
+        co = _divide_cofactor(ctx, c, apart, q3)
+        checks[f"l_division_{name}"] = "not exact" if co is None else "ok"
+        out.append(co)
+    return out[0], out[1]
+
+
 def verify_identities(ctx: AppendixContext, c: int,
                       numeric: bool = True,
                       grid: Optional[tuple] = None) -> IdentityReport:
@@ -906,21 +930,7 @@ def verify_identities(ctx: AppendixContext, c: int,
     checks["h_x_support"] = ("ok" if (h1p.x_exponents() <= hsup
                                       and h2p.x_exponents() <= hsup) else "violated")
 
-    l_derived = []
-    for name, hp in (("L1", h1p), ("L2", h2p)):
-        parts = hp.by_x()
-        apart = QPoly(fld, {(0, ey): co for ey, co in parts.get(fold(q2), {}).items()})
-        bpart = QPoly(fld, {(0, ey): co for ey, co in parts.get(fold(q3), {}).items()})
-        cross_ok = (apart * QPoly.ypow(fld, q2)) == (bpart * QPoly.ypow(fld, q3))
-        checks[f"h_cross_{name}"] = "ok" if cross_ok else "violated"
-        co = _divide_cofactor(ctx, c, apart, q3)
-        if co is None:
-            checks[f"l_division_{name}"] = "not exact"
-            l_derived.append(None)
-        else:
-            checks[f"l_division_{name}"] = "ok"
-            l_derived.append(co)
-    l1d, l2d = l_derived
+    l1d, l2d = _l_pair(ctx, c, (h1p, h2p), checks)
 
     for name, got, want_fn in (("L1", l1d, l1_tabulated_coeffs),
                                ("L2", l2d, l2_tabulated_coeffs)):
@@ -1158,39 +1168,36 @@ def scattered_pair_scan(fld: Field, a_coeffs: Sequence[int],
                         b_coeffs: Sequence[int]) -> ScatterReport:
     """Is {(A(x) : B(x))} scattered, for q-polynomial maps A, B?
 
-    Image-dedup over all of F_{q^4} (never a pairwise scan): the set is
-    scattered iff the kernel of (A, B) is trivial and the projective keys
-    B/A take (q^4-1)/(q-1) distinct values.  Even q only, as for both
-    callers."""
+    One x per F_q^*-coset (never a pairwise scan): A and B are F_q-linear,
+    so (A(lx) : B(lx)) = (A(x) : B(x)) for l in F_q^*, and a coset lies
+    wholly inside or outside the joint kernel, an F_q-subspace.  With g a
+    generator, g^0 .. g^{N-1} (N = (q^4-1)/(q-1)) meet every coset once.
+    The set is scattered iff the kernel is trivial and the directions take
+    N distinct values; kernel_size counts the nonzero kernel elements.
+    Even q only, as for both callers."""
     if fld.p != 2:
         raise OddCharacteristic("the pair scan covers even q")
     fld._need_tables()
-    order = fld.order
-    expected = (order - 1) // (fld.q - 1)
+    n = fld.order - 1
+    expected = n // (fld.q - 1)
     amap = fld.linear_map_from_images(
         [LinPoly(fld, list(a_coeffs))(1 << j) for j in range(fld.degree)])
     bmap = fld.linear_map_from_images(
         [LinPoly(fld, list(b_coeffs))(1 << j) for j in range(fld.degree)])
-    chunk = 1 << 22
-    n = order - 1
-    log, exp = fld._log, fld._exp
-    seen = np.zeros(order + 2, dtype=bool)
-    kernel = 0
-    for start in range(1, order, chunk):
-        xs = np.arange(start, min(start + chunk, order), dtype=np.int64)
-        av = amap.apply(xs)
-        bv = bmap.apply(xs)
-        zero_a = av == 0
-        zero_b = bv == 0
-        kernel += int((zero_a & zero_b).sum())
-        # fused division into projective keys: B/A; `order` marks the
-        # (0:1) direction, order+1 the kernel (not a direction at all)
-        kk = exp[(log[bv] - log[av]) % n]
-        kk[zero_b] = 0
-        kk[zero_a] = order
-        kk[zero_a & zero_b] = order + 1
-        seen[kk] = True
-    distinct = int(seen[:order + 1].sum())
+    reps = fld._exp[:expected]
+    av = amap.apply(reps)
+    bv = bmap.apply(reps)
+    zero_a = av == 0
+    zero_b = bv == 0
+    # direction keys: log(B/A), n for (1 : 0), n + 1 for (0 : 1)
+    keys = (fld._log[bv] - fld._log[av]) % n
+    keys[zero_b] = n
+    keys[zero_a] = n + 1
+    live = ~(zero_a & zero_b)
+    seen = np.zeros(n + 2, dtype=bool)
+    seen[keys[live]] = True
+    distinct = int(seen.sum())
+    kernel = (expected - int(live.sum())) * (fld.q - 1)
     return ScatterReport(distinct, expected, kernel,
                          kernel == 0 and distinct == expected)
 
@@ -1357,10 +1364,19 @@ def registry_eval(ctx: AppendixContext, name: str, **bindings) -> int:
         c, x, y = need("C", "x", "y")
         h1, h2 = h_polys(ctx, c)
         return (h1 if name == "H1" else h2).eval(x, y)
-    if name in ("L1", "L2"):
+    if name in ("L1", "L2", "P"):
         c, y = need("C", "y")
-        rep = verify_identities(ctx, c, numeric=False)
-        coeffs = rep.l1_derived if name == "L1" else rep.l2_derived
+        try:
+            chain = g_chain_polys(ctx, c)
+        except IdentityViolation:
+            l1 = l2 = None
+        else:
+            l1, l2 = _l_pair(ctx, c, _h_pair(chain, uvw_derived(ctx, c, chain)), {})
+        if name == "P":
+            if l1 is None or l2 is None:
+                raise DivisionNotExact(f"P has no derived form at C={c}")
+            return _p_combination(ctx, c, l1, l2)[0].eval(0, y)
+        coeffs = l1 if name == "L1" else l2
         if coeffs is None:
             raise DivisionNotExact(f"{name} has no derived form at C={c}")
         return _coeffs_to_poly(ctx, coeffs).eval(0, y)
@@ -1368,13 +1384,6 @@ def registry_eval(ctx: AppendixContext, name: str, **bindings) -> int:
         c, y = need("C", "y")
         fn = l1_tabulated_coeffs if name.startswith("L1") else l2_tabulated_coeffs
         return _coeffs_to_poly(ctx, fn(ctx, c)).eval(0, y)
-    if name == "P":
-        c, y = need("C", "y")
-        rep = verify_identities(ctx, c, numeric=False)
-        if rep.l1_derived is None or rep.l2_derived is None:
-            raise DivisionNotExact(f"P has no derived form at C={c}")
-        p, _ = _p_combination(ctx, c, rep.l1_derived, rep.l2_derived)
-        return p.eval(0, y)
     if name in ("U", "V"):
         c, y = need("C", "y")
         upoly, vpoly = uv_tabulated_polys(ctx, c)

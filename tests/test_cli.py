@@ -80,6 +80,14 @@ def test_appendix_delta_needs_tables(capsys):
     assert "table_threshold" in capsys.readouterr().err
 
 
+def test_appendix_delta_q64_example(capsys):
+    # the README's q = 64 example: one member of Delta_0 certifies a scattered pair
+    assert run(["appendix", "delta", "--q", "64", "--beta", "4174",
+                "--which", "0", "--z", "2065534",
+                "--table-threshold", "16777216"]) == 0
+    assert "scattered 266305/266305 ok" in capsys.readouterr().out
+
+
 def test_search_cli(tmp_path, capsys):
     assert run(["search", "--q", "2", "--m", "2", "--k", "2", "--rho", "2",
                 "--rank-min", "2", "--rank-max", "3",

@@ -1,11 +1,16 @@
 """Registry polynomials, identity chain, distinguished sets."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ranksat import identities
 from ranksat.constructions import normalized_alphas, normalized_betas
 from ranksat.errors import (
+    DivisionNotExact,
     IdentityViolation,
     InternalInconsistency,
     InvalidBeta,
@@ -38,8 +43,11 @@ from ranksat.identities import (
     verify_identities,
 )
 
+from .reference import RefField
+
 F16 = field_create(2, 1, 4)
 F256 = field_create(2, 2, 4)
+F4096 = field_create(2, 3, 4)
 
 
 def ctx16(alpha=6, beta=8):
@@ -145,6 +153,27 @@ def test_chain_faults_are_not_read_as_violations(monkeypatch):
                         raise_with(InternalInconsistency("bug")))
     with pytest.raises(InternalInconsistency):
         verify_identities(ctx16(), 3)
+
+
+def test_registry_l_values_follow_the_division(monkeypatch):
+    ctx = ctx16()
+    for c in range(16):
+        rep = verify_identities(ctx, c, numeric=False)
+        for name, coeffs in (("L1", rep.l1_derived), ("L2", rep.l2_derived)):
+            poly = identities._coeffs_to_poly(ctx, coeffs)
+            assert all(registry_eval(ctx, name, C=c, y=y) == poly.eval(0, y)
+                       for y in (0, 1, 6, 15))
+
+    def off_pattern(*args):
+        raise IdentityViolation("off pattern")
+
+    for patch in (("_g_multipliers", off_pattern),
+                  ("_divide_cofactor", lambda *args: None)):
+        with monkeypatch.context() as m:
+            m.setattr(identities, *patch)
+            for name in ("L1", "L2", "P"):
+                with pytest.raises(DivisionNotExact):
+                    registry_eval(ctx, name, C=3, y=5)
 
 
 def test_uvw_tabulated_match_derived_generically():
@@ -264,6 +293,86 @@ def test_scattered_pair_scan_classical():
     assert not rep2.scattered
     with pytest.raises(OddCharacteristic):
         scattered_pair_scan(field_create(3, 1, 4), [0, 0, 0, 1], [1, 0, 0, 0])
+
+
+class _BruteScan:
+    """Oracle for scattered_pair_scan: walks every nonzero x of the field in
+    reference arithmetic, with no tables and no cosets, and counts kernel
+    elements and distinct normalized directions (A(x) : B(x)).  Frobenius
+    powers and inverses are memoized across draws."""
+
+    def __init__(self, fld):
+        self.ref = RefField(fld.p, fld.modulus)
+        self.inv = cache(self.ref.inv)
+        self.powers = []
+        for x in range(1, fld.order):
+            pw = [x]
+            for _ in range(fld.m - 1):
+                pw.append(self.ref.pow(pw[-1], fld.q))
+            self.powers.append(pw)
+
+    def _apply(self, coeffs, pw):
+        out = 0
+        for c, v in zip(coeffs, pw):
+            if c:
+                out = self.ref.add(out, self.ref.mul(c, v))
+        return out
+
+    def __call__(self, a, b):
+        kernel, directions = 0, set()
+        for pw in self.powers:
+            av, bv = self._apply(a, pw), self._apply(b, pw)
+            if av == bv == 0:
+                kernel += 1
+            elif av == 0:
+                directions.add((0, 1))
+            else:
+                directions.add((1, self.ref.mul(bv, self.inv(av))))
+        return kernel, len(directions)
+
+
+@cache
+def _brute_scan(fld):
+    return _BruteScan(fld)
+
+
+def _pairs(fld):
+    coeffs = st.lists(st.integers(0, fld.order - 1), min_size=4, max_size=4)
+    return st.tuples(coeffs, coeffs)
+
+
+def _both_axes(fld):
+    # A = x + x^{q^2} vanishes on F_{q^2}; B = g^{q-1} x + x^q on F_q g, off
+    # F_{q^2}: both (0 : 1) and (1 : 0) occur, and the joint kernel is 0
+    return [1, 0, 1, 0], [fld.pow(fld.generator, fld.q - 1), 1, 0, 0]
+
+
+def _check_scan(fld, a, b):
+    rep = scattered_pair_scan(fld, a, b)
+    kernel, distinct = _brute_scan(fld)(a, b)
+    expected = (fld.order - 1) // (fld.q - 1)
+    assert (rep.distinct, rep.expected, rep.kernel_size, rep.scattered) == \
+        (distinct, expected, kernel, kernel == 0 and distinct == expected)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_pairs(F256))
+@example(([0, 0, 0, 0], [7, 0, 1, 200]))   # A = 0
+@example(([9, 1, 0, 33], [0, 0, 0, 0]))    # B = 0
+@example(([0, 0, 0, 0], [0, 0, 0, 0]))     # A = B = 0
+@example(([5, 18, 0, 1], [5, 18, 0, 1]))   # A = B
+@example(([1, 1, 0, 0], [1, 0, 1, 0]))     # shared kernel F_q
+@example(_both_axes(F256))
+def test_scattered_pair_scan_matches_brute_force_q4(pair):
+    _check_scan(F256, *pair)
+
+
+@settings(max_examples=1, deadline=None, derandomize=True, database=None)
+@given(_pairs(F4096))
+@example(([1, 1, 0, 0], [1, 0, 1, 0]))
+@example(_both_axes(F4096))
+def test_scattered_pair_scan_matches_brute_force_q8(pair):
+    _check_scan(F4096, *pair)
 
 
 def test_case3_witnesses_all_alphas():
