@@ -180,12 +180,8 @@ def _cmd_bounds(args):
 def _cmd_search(args):
     from .search import SearchTask, min_rank_search
     fld = _field_from_args(args)
-    shard = None
-    if args.shards > 1:
-        shard = (args.shard_id, args.shards)
     task = SearchTask(fld, args.k, args.rho, args.rank_min, args.rank_max,
-                      reduction=args.reduction, shard=shard,
-                      checkpoint=args.resume)
+                      reduction=args.reduction, checkpoint=args.resume)
     t0 = time.time()
     res = min_rank_search(task)
     for o in res.outcomes:
@@ -374,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-max", type=int, required=True)
     p.add_argument("--reduction", choices=["naive", "canonical", "graph"],
                    default="canonical")
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--shard-id", type=int, default=0)
     p.add_argument("--resume", type=str, default=None)
     p.add_argument("--cert", type=str, default=None)
     p.set_defaults(fn=_cmd_search)

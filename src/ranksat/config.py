@@ -16,7 +16,7 @@ MAX_FIELD_ORDER = 1 << 32
 # Cap on q^n when a subspace's vectors are enumerated (linear sets, weights).
 VECTOR_BUDGET = 1 << 24
 
-# Cap on the number of F_{q^m}-subspaces walked by enumerate_fqm_subspaces.
+# Cap on the number of F_{q^m}-subspaces walked by is_h_scattered.
 SUBSPACE_BUDGET = 1 << 22
 
 # Cap on the number of projective points a saturation scan may touch.

@@ -266,10 +266,6 @@ def d_derived(ctx: AppendixContext, c: int) -> int:
     return LinPoly(ctx.field, _fac_coeffs(ctx, c)).dickson_det()
 
 
-def d_derived_vec(ctx: AppendixContext, cs: np.ndarray) -> np.ndarray:
-    return _dickson_det_vec(ctx.field, _fac_coeffs_vec(ctx, cs))
-
-
 def _f_terms(ctx: AppendixContext) -> list[tuple[int, int]]:
     """(coefficient, C-exponent) pairs of the cubic-family certificate poly."""
     fld, q = ctx.field, ctx.q

@@ -335,41 +335,27 @@ def fqm_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
     return len(fqm_rref(field, rows))
 
 
-def enumerate_fqm_subspaces(field: Field, k: int, h: int,
-                            budget: Optional[int] = None,
-                            shard: Optional[tuple[int, int]] = None,
-                            ) -> Iterator[FqmSubspace]:
-    """All h-dimensional F_{q^m}-subspaces of F_{q^m}^k, each exactly once.
+def echelon_blocks(nrows: int, ncols: int, base: int,
+                   chunk: int) -> Iterator[np.ndarray]:
+    """Every nrows x ncols reduced echelon matrix of rank nrows, as digits.
 
-    Walks canonical echelon matrices grouped by pivot-column pattern in a
-    deterministic order.  The optional shard=(i, n) keeps every n-th
-    subspace starting at index i, which makes the iterator range-splittable.
+    Yields int64 arrays of shape (T, nrows, ncols) with T <= chunk, unit
+    pivots and free entries in range(base).  Pivot patterns come in
+    itertools.combinations order; within a pattern, the free entries, row by
+    row and left to right, are the little-endian base-`base` digits of a
+    counter running from 0.  Callers map digits to field elements.
     """
-    if not 0 < h < k:
-        raise ValueError(f"need 0 < h < k, got h={h}, k={k}")
-    order = field.order
-    total = gaussian_binomial(k, h, order)
-    cap = budget if budget is not None else config.SUBSPACE_BUDGET
-    if total > cap:
-        raise BudgetExceeded(f"{total} subspaces exceed budget {cap}")
-    counter = 0
-    for pivots in itertools.combinations(range(k), h):
-        free = [(i, j) for i in range(h) for j in range(pivots[i] + 1, k)
+    for pivots in itertools.combinations(range(ncols), nrows):
+        free = [(i, j) for i in range(nrows) for j in range(pivots[i] + 1, ncols)
                 if j not in pivots]
-        nfree = len(free)
-        for idx in range(order ** nfree):
-            if shard is not None and counter % shard[1] != shard[0]:
-                counter += 1
-                continue
-            counter += 1
-            rows = [[0] * k for _ in range(h)]
-            for i in range(h):
-                rows[i][pivots[i]] = 1
-            v = idx
+        total = base ** len(free)
+        for start in range(0, total, chunk):
+            v = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            block = np.zeros((len(v), nrows, ncols), dtype=np.int64)
+            block[:, range(nrows), pivots] = 1
             for (i, j) in free:
-                rows[i][j] = v % order
-                v //= order
-            yield FqmSubspace(field, k, rows)
+                v, block[:, i, j] = np.divmod(v, base)
+            yield block
 
 
 def spans_ambient(u: System) -> bool:

@@ -24,6 +24,7 @@ from .linalg import (
     FqmSubspace,
     System,
     dim_intersection,
+    echelon_blocks,
     fq_rank_batch,
     fqm_rank,
     fqm_subspace,
@@ -122,11 +123,12 @@ def point_unrank(field: Field, k: int, idx: np.ndarray) -> np.ndarray:
 class LinearSet:
     """The point set of a System, with its weight index."""
 
-    def __init__(self, system: System, points: np.ndarray, weights: dict[int, int]):
+    def __init__(self, system: System, points: np.ndarray, index: np.ndarray,
+                 weights: dict[int, int]):
         self.system = system
         self.points = points              # (N, k) normalized coordinate rows
+        self._index = index               # point_index of each row, ascending
         self._weights = weights           # point_index -> weight, only w >= 2
-        self._index = point_index(system.field, points)
         self._index_set = frozenset(int(i) for i in self._index)
 
     def __len__(self):
@@ -179,8 +181,7 @@ def linear_set(u: System, budget: Optional[int] = None) -> LinearSet:
             if q ** w - 1 != mult:
                 raise AssertionError("inconsistent point multiplicity")
             weights[int(i)] = w
-    sort = np.argsort(point_index(field, pts))
-    return LinearSet(u, pts[sort], weights)
+    return LinearSet(u, pts, uniq, weights)
 
 
 def weight(u: System, lam: Union[FqmSubspace, Point]) -> int:
@@ -226,40 +227,25 @@ def is_h_scattered(u: System, h: int,
 
 
 def _h_scattered_sweep(u: System, h: int) -> Optional[FqmSubspace]:
-    import itertools
-
     field = u.field
-    k, m, order = u.k, field.m, field.order
+    k, m = u.k, field.m
     urows = np.asarray(u.expanded_rows(), dtype=np.int64)  # (n, k*m)
     basis = np.asarray(field.power_basis, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(1, (u.rank + h * m) * k * m))
-    for pivots in itertools.combinations(range(k), h):
-        free = [(i, j) for i in range(h) for j in range(pivots[i] + 1, k)
-                if j not in pivots]
-        nfree = len(free)
-        total = order ** nfree
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            T = len(idx)
-            rows = np.zeros((T, h, k), dtype=np.int64)
-            for i in range(h):
-                rows[:, i, pivots[i]] = 1
-            v = idx.copy()
-            for (i, j) in free:
-                rows[:, i, j] = v % order
-                v //= order
-            # expand the F_q-space underlying each W: m scalings per basis row
-            scaled = field.vmul(rows[:, :, None, :], basis[None, None, :, None])
-            scaled = scaled.reshape(T, h * m, k)
-            wexp = field.fq_coords_vec(scaled).reshape(T, h * m, k * m)
-            stacked = np.concatenate(
-                [np.broadcast_to(urows, (T, u.rank, k * m)), wexp], axis=1)
-            ranks = fq_rank_batch(field, stacked)
-            dims = u.rank + h * m - ranks
-            bad = np.nonzero(dims > h)[0]
-            if len(bad):
-                b = int(bad[0])
-                return fqm_subspace(field, k, [list(map(int, r)) for r in rows[b]])
+    for rows in echelon_blocks(h, k, field.order, chunk):
+        T = len(rows)
+        # expand the F_q-space underlying each W: m scalings per basis row
+        scaled = field.vmul(rows[:, :, None, :], basis[None, None, :, None])
+        scaled = scaled.reshape(T, h * m, k)
+        wexp = field.fq_coords_vec(scaled).reshape(T, h * m, k * m)
+        stacked = np.concatenate(
+            [np.broadcast_to(urows, (T, u.rank, k * m)), wexp], axis=1)
+        ranks = fq_rank_batch(field, stacked)
+        dims = u.rank + h * m - ranks
+        bad = np.nonzero(dims > h)[0]
+        if len(bad):
+            b = int(bad[0])
+            return fqm_subspace(field, k, [list(map(int, r)) for r in rows[b]])
     return None
 
 

@@ -19,16 +19,17 @@ coordinate by c and stores the result.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import config
 from .certificates import write_atomic
 from .errors import BudgetExceeded, InvalidParams
 from .gf import Field
-from .linalg import System, gaussian_binomial, system_create
+from .linalg import System, echelon_blocks, gaussian_binomial, system_create
 from .rankcov import _check_rho, is_rank_saturating
 
 
@@ -253,6 +254,9 @@ def canonical_key(u: System) -> tuple[int, ...]:
     if u.is_zero:
         return ()
     field = u.field
+    if u.rank == field.m * u.k:
+        # the whole space is one orbit and its own image under every map
+        return tuple(range(1, field.order ** u.k))
     best = None
     for j in range(field.degree):
         w = _apply_automorphism(u, j) if j else u
@@ -276,10 +280,10 @@ def _key_system(field: Field, k: int, key: tuple[int, ...]) -> System:
 # orbit enumeration and searches
 # ----------------------------------------------------------------------
 
-def _extensions(field: Field, k: int, reps: list[System], rank: int,
-                shard: Optional[tuple[int, int]]) -> Iterator[System]:
+def _extensions(field: Field, k: int, reps: list[System],
+                rank: int) -> Iterator[System]:
     """Each distinct rank-`rank` span of a representative and one more
-    vector, in a fixed order; with a shard (i, n), every n-th from the i-th."""
+    vector, in a fixed order."""
     ambient = [_dec_vector(field, enc, k) for enc in range(1, field.order ** k)]
     seen: set = set()
     for base in reps:
@@ -288,8 +292,7 @@ def _extensions(field: Field, k: int, reps: list[System], rank: int,
             if cand.rank != rank or cand.canonical in seen:
                 continue
             seen.add(cand.canonical)
-            if shard is None or (len(seen) - 1) % shard[1] == shard[0]:
-                yield cand
+            yield cand
 
 
 def orbit_representatives(field: Field, k: int, max_rank: int,
@@ -306,7 +309,7 @@ def orbit_representatives(field: Field, k: int, max_rank: int,
     nodes = 0
     for r in range(1, max_rank + 1):
         seen: dict = {}
-        for cand in _extensions(field, k, reps[r - 1], r, None):
+        for cand in _extensions(field, k, reps[r - 1], r):
             nodes += 1
             if nodes > cap:
                 raise BudgetExceeded(f"orbit walk exceeded {cap} nodes")
@@ -319,7 +322,6 @@ def orbit_representatives(field: Field, k: int, max_rank: int,
 
 def enumerate_rank_subspaces(field: Field, k: int, r: int,
                              budget: Optional[int] = None,
-                             shard: Optional[tuple[int, int]] = None,
                              ) -> Iterator[System]:
     """Every rank-r F_q-subspace of F_{q^m}^k exactly once (echelon walk)."""
     q = field.q
@@ -328,25 +330,10 @@ def enumerate_rank_subspaces(field: Field, k: int, r: int,
     cap = budget if budget is not None else config.SEARCH_NODE_BUDGET
     if total > cap:
         raise BudgetExceeded(f"{total} subspaces exceed budget {cap}")
-    mids = field.subfield_elements("mid")
-    counter = 0
-    for pivots in itertools.combinations(range(ncols), r):
-        free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, ncols)
-                if j not in pivots]
-        nfree = len(free)
-        for idx in range(q ** nfree):
-            if shard is not None and counter % shard[1] != shard[0]:
-                counter += 1
-                continue
-            counter += 1
-            rows = [[0] * ncols for _ in range(r)]
-            for i in range(r):
-                rows[i][pivots[i]] = 1
-            v = idx
-            for (i, j) in free:
-                rows[i][j] = mids[v % q]
-                v //= q
-            # the rows are already the canonical F_q-RREF
+    mids = np.asarray(field.subfield_elements("mid"), dtype=np.int64)
+    for block in echelon_blocks(r, ncols, q, 1024):
+        # the rows are already the canonical F_q-RREF
+        for rows in mids[block].tolist():
             yield System(field, k, rows)
 
 
@@ -422,7 +409,6 @@ class SearchTask:
     rank_hi: int
     reduction: str = "canonical"
     node_budget: Optional[int] = None
-    shard: Optional[tuple[int, int]] = None
     checkpoint: Optional[str] = None
 
     def __post_init__(self):
@@ -485,12 +471,11 @@ def _search_rank(task: SearchTask, rank: int) -> RankOutcome:
     note = ""
     if task.reduction == "naive":
         candidates = enumerate_rank_subspaces(field, k, rank,
-                                              budget=task.node_budget,
-                                              shard=task.shard)
+                                              budget=task.node_budget)
     elif task.reduction == "canonical":
         reps = orbit_representatives(field, k, rank - 1,
                                      node_budget=task.node_budget)
-        candidates = _extensions(field, k, reps[rank - 1], rank, task.shard)
+        candidates = _extensions(field, k, reps[rank - 1], rank)
         note = (f"orbit cover: {len(reps[rank - 1])} representatives at "
                 f"rank {rank - 1}, all single-generator extensions checked")
     else:
@@ -559,7 +544,7 @@ def _save_checkpoint(task: SearchTask, outcomes: list[RankOutcome]):
 def _task_fingerprint(task: SearchTask) -> str:
     return (f"{task.field.describe()} k={task.k} rho={task.rho} "
             f"range={task.rank_lo}..{task.rank_hi} red={task.reduction} "
-            f"shard={task.shard} budget={task.node_budget}")
+            f"budget={task.node_budget}")
 
 
 def search_table(field: Field, k_max: int, budget: Optional[int] = None,

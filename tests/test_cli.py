@@ -96,6 +96,11 @@ def test_search_cli(tmp_path, capsys):
     assert "value 2" in out
 
 
+def test_search_has_no_shard_option(capsys):
+    assert run(["search", "--q", "2", "--m", "2", "--k", "2", "--rho", "2",
+                "--rank-min", "2", "--rank-max", "3", "--shards", "2"]) == 2
+
+
 def test_search_corrupt_checkpoint(tmp_path, capsys):
     ck = tmp_path / "ck.json"
     argv = ["search", "--q", "2", "--m", "2", "--k", "2", "--rho", "1",

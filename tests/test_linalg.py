@@ -9,7 +9,7 @@ from ranksat.errors import BudgetExceeded, FieldMismatch
 from ranksat.gf import field_create
 from ranksat.linalg import (
     dim_intersection,
-    enumerate_fqm_subspaces,
+    echelon_blocks,
     fq_rank,
     fq_rank_batch,
     fq_span_dim,
@@ -19,6 +19,7 @@ from ranksat.linalg import (
     spans_ambient,
     system_create,
 )
+from ranksat.linset import is_h_scattered
 
 from .reference import ref_fq_rank, ref_rank_mod_p
 
@@ -111,32 +112,40 @@ def test_dim_intersection_bound():
     for _ in range(20):
         gens = [[rng.randrange(16) for _ in range(3)] for _ in range(3)]
         u = system_create(F16, 3, gens)
-        for w in list(enumerate_fqm_subspaces(F16, 3, 1))[:10]:
+        for _ in range(10):
+            w = fqm_subspace(F16, 3, [[rng.randrange(16) for _ in range(3)]
+                                      for _ in range(rng.randint(1, 2))])
             d = dim_intersection(u, w)
             assert 0 <= d <= min(u.rank, F16.m * w.dim)
 
 
+def _echelon_walk(nrows, ncols, base, chunk=7):
+    out = []
+    for block in echelon_blocks(nrows, ncols, base, chunk):
+        assert block.shape[1:] == (nrows, ncols) and 0 < len(block) <= chunk
+        out.extend(tuple(map(tuple, rows)) for rows in block.tolist())
+    return out
+
+
 def test_enumerate_subspace_counts():
-    assert len(list(enumerate_fqm_subspaces(F4, 2, 1))) == 4 + 1
+    # pivot patterns in combinations order, free entries little-endian
+    assert _echelon_walk(1, 3, 2) == [((1, 0, 0),), ((1, 1, 0),), ((1, 0, 1),),
+                                      ((1, 1, 1),), ((0, 1, 0),), ((0, 1, 1),),
+                                      ((0, 0, 1),)]
+    assert len(_echelon_walk(1, 2, 4)) == 4 + 1
     count_lines = gaussian_binomial(3, 1, 16)
     assert count_lines == 273
-    assert len(list(enumerate_fqm_subspaces(F16, 3, 1))) == 273
-    assert len(list(enumerate_fqm_subspaces(F16, 3, 2))) == 273
-    seen = set(enumerate_fqm_subspaces(F16, 3, 2))
-    assert len(seen) == 273  # uniqueness
-
-
-def test_enumerate_shards_partition():
-    full = list(enumerate_fqm_subspaces(F16, 3, 1))
-    parts = []
-    for i in range(3):
-        parts.extend(enumerate_fqm_subspaces(F16, 3, 1, shard=(i, 3)))
-    assert sorted(hash(w) for w in parts) == sorted(hash(w) for w in full)
+    for h in (1, 2):  # the lines and planes of PG(2, 16)
+        walk = _echelon_walk(h, 3, 16)
+        assert len(walk) == len(set(walk)) == 273  # uniqueness
+        for rows in walk:  # each is the reduced echelon basis of its span
+            assert fqm_subspace(F16, 3, rows).rows == rows
 
 
 def test_enumerate_budget():
+    u = system_create(F16, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(BudgetExceeded):
-        list(enumerate_fqm_subspaces(F16, 3, 1, budget=10))
+        is_h_scattered(u, 1, budget=10)
 
 
 def test_fq_span_dim():

@@ -1,5 +1,6 @@
 """Linear sets: points, weights, scatteredness, projections."""
 
+import itertools
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from ranksat.errors import CenterInsideLinearSet, CenterOnHyperplane
 from ranksat.gf import field_create
-from ranksat.linalg import fqm_subspace, system_create
+from ranksat.linalg import dim_intersection, fqm_subspace, system_create
 from ranksat.linset import (
     Point,
     coordinate_hyperplane_avoiding,
@@ -25,6 +26,8 @@ from ranksat.linset import (
 F16 = field_create(2, 1, 4)
 F8 = field_create(2, 1, 3)
 F4Q = field_create(2, 2, 2)  # F_16 with q = 4
+F4 = field_create(2, 1, 2)
+F9 = field_create(3, 1, 2)
 
 
 def frobenius_graph(field, power=1):
@@ -156,6 +159,43 @@ def test_h_scattered_witness_is_real():
     ok, witness = is_h_scattered(u, 1)
     assert not ok and witness is not None
     assert weight(u, witness) > 1
+
+
+def _subspaces_from_vectors(field, k, h):
+    """Every h-dimensional F_{q^m}-subspace of F_{q^m}^k, spanned by h
+    points taken from the ambient vectors (no echelon walk)."""
+    points = {fqm_subspace(field, k, [v]).rows[0]
+              for v in itertools.product(range(field.order), repeat=k) if any(v)}
+    out = {fqm_subspace(field, k, vs)
+           for vs in itertools.combinations(sorted(points), h)}
+    return [w for w in out if w.dim == h]
+
+
+def test_is_h_scattered_matches_oracle():
+    rng = random.Random(11)
+    verdicts = set()
+    for fld in (F4, F8, F9):
+        k = 3
+        ws = {h: _subspaces_from_vectors(fld, k, h) for h in (1, 2)}
+        systems = [subgeometry(fld, k)]
+        for _ in range(8):
+            gens = [[rng.randrange(fld.order) for _ in range(k)]
+                    for _ in range(rng.randint(2, 6))]
+            systems.append(system_create(fld, k, gens))
+        for u in systems:
+            # U spans the ambient iff no hyperplane (k = 3: no plane) holds it
+            spans = all(dim_intersection(u, w) < u.rank for w in ws[2])
+            for h in (1, 2):
+                expect = spans and max(dim_intersection(u, w) for w in ws[h]) <= h
+                ok, witness = is_h_scattered(u, h)
+                assert ok == expect
+                verdicts.add(ok)
+                if witness is not None:
+                    assert not ok and witness.dim == h
+                    assert dim_intersection(u, witness) > h
+                elif not ok:
+                    assert not spans
+    assert verdicts == {True, False}
 
 
 def test_project_case1_shape():
