@@ -155,8 +155,20 @@ def _tool_tag() -> str:
     return f"ranksat-{__version__}"
 
 
+class _Params(dict):
+    """A claim's parameters: a missing one is a malformed certificate."""
+
+    def __missing__(self, key):
+        raise ValueError(f"claim {self['kind']} lacks the parameter {key}=")
+
+
+# claim kinds recomputed on the certificate's system
+_ON_SYSTEM = ("saturating", "saturating-within", "saturating-index", "scattered",
+              "hscattered", "rank", "covering-radius", "search")
+
+
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
-    """Recompute every claim; returns (all good, per-claim report lines)."""
+    """Recompute every claim: (all good, report lines); ValueError if malformed."""
     from .linset import is_scattered, is_h_scattered
     from .rankcov import (code_from_system, covering_radius, is_rank_saturating,
                           lower_bound, saturating_index, upper_bound)
@@ -166,8 +178,12 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     if u is not None and u.rank != len(cert.generators):
         report.append("generators: dependent rows (tampered or malformed)")
         ok = False
-    for claim in cert.claims:
+    for claim in map(_Params, cert.claims):
         kind = claim["kind"]
+        # a negative search line is stated, not recomputed
+        if u is None and kind in _ON_SYSTEM and claim.get("found", True):
+            raise ValueError(f"claim {kind} needs a system, and the "
+                             f"certificate has no gen lines")
         good: Optional[bool] = None
         if kind == "saturating":
             got = is_rank_saturating(u, int(claim["rho"]))

@@ -43,14 +43,8 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 def _field_from_args(args):
     p, a = _prime_power(args.q)
-    if getattr(args, "a", None) not in (None, 0) and args.a != a:
-        raise argparse.ArgumentTypeError(
-            f"--a {args.a} inconsistent with q={args.q} = {p}^{a}")
-    modulus = None
-    if getattr(args, "modulus", None):
-        modulus = [int(c) for c in args.modulus.split(",")]
-    threshold = getattr(args, "table_threshold", None)
-    return field_create(p, a, args.m, modulus, table_threshold=threshold)
+    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    return field_create(p, a, args.m, modulus, table_threshold=args.table_threshold)
 
 
 def _emit_certificate(args, cert: Certificate):
@@ -299,8 +293,6 @@ def _cmd_reproduce(args):
 
 def _add_field_args(p, need_m=True):
     p.add_argument("--q", type=int, required=True, help="subfield order (prime power)")
-    p.add_argument("--a", type=int, default=None,
-                   help="tower split check: q = p^a (derived from q)")
     if need_m:
         p.add_argument("--m", type=int, required=True, help="relative degree")
     p.add_argument("--modulus", type=str, default=None,
@@ -313,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ranksat",
         description="saturating linear sets, rank covering radii, and their checks")
     ap.add_argument("--config", type=str, default=None,
-                    help="JSON file with budget overrides")
+                    help="JSON file of ranksat.config settings (budgets)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="create and describe a field tower")

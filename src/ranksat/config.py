@@ -1,9 +1,12 @@
-"""Budget defaults and tunables.
+"""Budgets and tunables: the one place that sets an enumeration limit.
 
-Every enumeration-heavy operation takes an optional budget override; these
-module constants are only the defaults.  Exceeding a budget raises
-BudgetExceeded rather than silently truncating.
+Each constant is run-wide: `ranksat --config FILE` sets any of them from a
+JSON object keyed by lowercase name.  Enumeration-heavy operations call
+`check_budget` with the size of the walk they start; over its cap the walk
+raises BudgetExceeded (CLI exit 3) rather than silently truncating.
 """
+
+from .errors import BudgetExceeded
 
 # Fields up to this order get log/antilog tables at creation (O(1) mul/inv).
 # Larger fields fall back to carry-less polynomial arithmetic unless the
@@ -25,5 +28,12 @@ POINT_BUDGET = 1 << 26
 # Cap on ambient-space vectors enumerated by covering-radius scans.
 COVERING_BUDGET = 1 << 24
 
-# Node cap for exhaustive searches (subspaces examined per rank).
+# Cap on subspaces per naive rank walk, and on orbit-walk nodes over all ranks.
 SEARCH_NODE_BUDGET = 1 << 26
+
+
+def check_budget(name: str, total: int, what: str) -> None:
+    """BudgetExceeded if total > config.<name>, read now so --config applies."""
+    cap = globals()[name]
+    if total > cap:
+        raise BudgetExceeded(f"{total} {what} exceed {name.lower()} = {cap}")

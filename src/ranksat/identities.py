@@ -200,6 +200,8 @@ class AppendixContext:
             raise InvalidCaseParams("the registry needs even q")
         if fld.m != 4:
             raise InvalidCaseParams("the registry lives in the m = 4 tower")
+        fld.check(self.alpha)
+        fld.check(self.beta)
         q = fld.q
         if fld.pow(self.alpha, q + 1) != 1 or fld.frobenius(self.alpha, 2) != self.alpha:
             raise InvalidCaseParams("alpha must lie in F_{q^2} with alpha^(q+1) = 1")
@@ -898,6 +900,7 @@ def verify_identities(ctx: AppendixContext, c: int,
     Hard checks run on derived forms; tabulated-vs-derived comparisons are
     reported as findings with the smallest differing monomial."""
     fld, q = ctx.field, ctx.q
+    fld.check(c)
     q2, q3 = q * q, q ** 3
     fold = partial(_fold, fld)
     checks: dict = {}
@@ -1106,6 +1109,7 @@ def delta_sets(fld: Field, beta: int, which: int) -> tuple[int, ...]:
         raise OddCharacteristic("the distinguished sets need even q")
     if fld.m != 4:
         raise InvalidCaseParams("the distinguished sets live in the m = 4 tower")
+    fld.check(beta)
     q = fld.q
     if which == 0:
         if beta == 0 or not fld.in_mid_subfield(beta):

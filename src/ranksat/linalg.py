@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import config
-from .errors import BudgetExceeded, FieldMismatch
+from .errors import FieldMismatch
 from .gf import Field
 
 
@@ -230,13 +230,11 @@ class System:
     def __repr__(self):
         return f"System(k={self.k}, rank={self.rank}, q={self.field.q}^m={self.field.m})"
 
-    def vectors(self, budget: Optional[int] = None) -> np.ndarray:
+    def vectors(self) -> np.ndarray:
         """All q^rank vectors of the subspace, shape (q^rank, k)."""
         field, n = self.field, self.rank
         total = field.q ** n
-        cap = budget if budget is not None else config.VECTOR_BUDGET
-        if total > cap:
-            raise BudgetExceeded(f"q^rank = {total} exceeds vector budget {cap}")
+        config.check_budget("VECTOR_BUDGET", total, "subspace vectors")
         mids = np.asarray(field.subfield_elements("mid"), dtype=np.int64)
         out = np.zeros((total, self.k), dtype=np.int64)
         idx = np.arange(total)

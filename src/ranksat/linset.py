@@ -14,7 +14,6 @@ import numpy as np
 
 from . import config
 from .errors import (
-    BudgetExceeded,
     CenterInsideLinearSet,
     CenterOnHyperplane,
     FieldMismatch,
@@ -158,13 +157,13 @@ class LinearSet:
         return out
 
 
-def linear_set(u: System, budget: Optional[int] = None) -> LinearSet:
+def linear_set(u: System) -> LinearSet:
     """Enumerate, normalize and deduplicate the points of L_U with weights."""
     if u.rank < 1:
         raise ValueError("linear_set needs rank >= 1")
     field = u.field
     q = field.q
-    vecs = u.vectors(budget=budget)
+    vecs = u.vectors()
     rows, ok = normalize_rows(field, vecs)
     rows = rows[ok]
     idx = point_index(field, rows)
@@ -191,9 +190,9 @@ def weight(u: System, lam: Union[FqmSubspace, Point]) -> int:
     return dim_intersection(u, lam)
 
 
-def is_scattered(u: System, budget: Optional[int] = None) -> bool:
+def is_scattered(u: System) -> bool:
     """True iff |L_U| is maximal, i.e. every point has weight 1."""
-    ls = linear_set(u, budget=budget)
+    ls = linear_set(u)
     q = u.field.q
     return len(ls) == (q ** u.rank - 1) // (q - 1)
 
@@ -204,9 +203,7 @@ def max_h_scattered_bound(k: int, m: int, h: int) -> int:
     return (k * m) // (h + 1)
 
 
-def is_h_scattered(u: System, h: int,
-                   budget: Optional[int] = None,
-                   ) -> tuple[bool, Optional[FqmSubspace]]:
+def is_h_scattered(u: System, h: int) -> tuple[bool, Optional[FqmSubspace]]:
     """Spanning check plus the sweep over all h-subspaces W.
 
     Returns (verdict, witness): the first W with dim_Fq(W meet U) > h when
@@ -217,10 +214,8 @@ def is_h_scattered(u: System, h: int,
         raise ValueError(f"need 0 < h < k, got h={h}, k={u.k}")
     if not spans_ambient(u):
         return False, None
-    total = gaussian_binomial(u.k, h, field.order)
-    cap = budget if budget is not None else config.SUBSPACE_BUDGET
-    if total > cap:
-        raise BudgetExceeded(f"{total} subspaces exceed budget {cap}")
+    config.check_budget("SUBSPACE_BUDGET", gaussian_binomial(u.k, h, field.order),
+                        f"{h}-subspaces")
     # batched sweep: stack U's expansion under each W's and compare ranks
     witness = _h_scattered_sweep(u, h)
     return witness is None, witness

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import config
-from .errors import BudgetExceeded, FieldMismatch, InvalidRho
+from .errors import FieldMismatch, InvalidRho
 from .gf import Field, prime_factors, prime_power
 from .linalg import (
     System,
@@ -85,14 +85,13 @@ def _mark_secants(field: Field, pts: np.ndarray, marked: np.ndarray):
         marked[point_index(field, rows[ok])] = True
 
 
-def saturating_index(u: System, budget: Optional[int] = None) -> Optional[int]:
+def saturating_index(u: System) -> Optional[int]:
     """Minimal rho with every point of PG(k-1, q^m) (rho-1)-saturated by L_U.
 
     Absent (None) when U does not span the ambient space over F_{q^m}: no
     rho works in that case.
     """
-    report = saturation_report(u, budget=budget)
-    return report.rho
+    return saturation_report(u).rho
 
 
 @dataclass
@@ -104,13 +103,11 @@ class SaturationReport:
     coverage: dict[int, int]
 
 
-def saturation_report(u: System, budget: Optional[int] = None,
+def saturation_report(u: System,
                       stop_after: Optional[int] = None) -> SaturationReport:
     field = u.field
     npts = pg_num_points(field.order, u.k)
-    cap = budget if budget is not None else config.POINT_BUDGET
-    if npts > cap:
-        raise BudgetExceeded(f"{npts} projective points exceed budget {cap}")
+    config.check_budget("POINT_BUDGET", npts, "projective points")
     if u.is_zero or not spans_ambient(u):
         return SaturationReport(u, None, {}, {})
     ls = linear_set(u)
@@ -146,15 +143,15 @@ def saturation_report(u: System, budget: Optional[int] = None,
         rho += 1
 
 
-def is_rank_saturating(u: System, rho: int, budget: Optional[int] = None) -> bool:
+def is_rank_saturating(u: System, rho: int) -> bool:
     """Exact predicate: saturating_index(u) == rho (minimality included)."""
-    report = saturation_report(u, budget=budget, stop_after=rho)
+    report = saturation_report(u, stop_after=rho)
     return report.rho == rho
 
 
-def saturates_within(u: System, rho: int, budget: Optional[int] = None) -> bool:
+def saturates_within(u: System, rho: int) -> bool:
     """At-most predicate: the index exists and is <= rho."""
-    report = saturation_report(u, budget=budget, stop_after=rho)
+    report = saturation_report(u, stop_after=rho)
     return report.rho is not None and report.rho <= rho
 
 
@@ -180,12 +177,10 @@ class Code:
     def __repr__(self):
         return f"Code(n={self.n}, dim={self.dim}, order={self.field.order})"
 
-    def codewords(self, budget: Optional[int] = None) -> np.ndarray:
+    def codewords(self) -> np.ndarray:
         field = self.field
         total = field.order ** self.dim
-        cap = budget if budget is not None else config.COVERING_BUDGET
-        if total > cap:
-            raise BudgetExceeded(f"{total} codewords exceed budget {cap}")
+        config.check_budget("COVERING_BUDGET", total, "codewords")
         out = np.zeros((total, self.n), dtype=np.int64)
         idx = np.arange(total)
         for i, row in enumerate(self.gen):
@@ -235,8 +230,7 @@ def _all_vectors(field: Field, n: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def covering_radius(code: Code, method: str = "syndrome",
-                    budget: Optional[int] = None) -> int:
+def covering_radius(code: Code, method: str = "syndrome") -> int:
     """max over ambient x of min over codewords c of rank_weight(x - c).
 
     method 'syndrome' sweeps the ambient space once, folding minima per
@@ -245,9 +239,7 @@ def covering_radius(code: Code, method: str = "syndrome",
     """
     field, n = code.field, code.n
     total = field.order ** n
-    cap = budget if budget is not None else config.COVERING_BUDGET
-    if total > cap:
-        raise BudgetExceeded(f"{total} ambient vectors exceed budget {cap}")
+    config.check_budget("COVERING_BUDGET", total, "ambient vectors")
     if code.dim == n:
         return 0
     if method == "full":

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import config
 from .certificates import write_atomic
-from .errors import BudgetExceeded, InvalidParams
+from .errors import InvalidParams
 from .gf import Field
 from .linalg import System, echelon_blocks, gaussian_binomial, system_create
 from .rankcov import _check_rho, is_rank_saturating
@@ -295,24 +295,21 @@ def _extensions(field: Field, k: int, reps: list[System],
             yield cand
 
 
-def orbit_representatives(field: Field, k: int, max_rank: int,
-                          node_budget: Optional[int] = None,
-                          ) -> dict[int, list[System]]:
+def orbit_representatives(field: Field, k: int,
+                          max_rank: int) -> dict[int, list[System]]:
     """Semilinear orbit representatives of subspaces up to max_rank.
 
     Complete by induction: every rank-r subspace contains a rank-(r-1)
     subspace, so extending every representative by every vector covers
     every orbit at the next rank.  Each representative is the system
     spanned by its canonical key, as canonical_reduce returns it."""
-    cap = node_budget if node_budget is not None else config.SEARCH_NODE_BUDGET
     reps: dict[int, list[System]] = {0: [system_create(field, k, [])]}
     nodes = 0
     for r in range(1, max_rank + 1):
         seen: dict = {}
         for cand in _extensions(field, k, reps[r - 1], r):
             nodes += 1
-            if nodes > cap:
-                raise BudgetExceeded(f"orbit walk exceeded {cap} nodes")
+            config.check_budget("SEARCH_NODE_BUDGET", nodes, "orbit-walk nodes")
             key = canonical_key(cand)
             if key not in seen:
                 seen[key] = _key_system(field, k, key)
@@ -320,16 +317,12 @@ def orbit_representatives(field: Field, k: int, max_rank: int,
     return reps
 
 
-def enumerate_rank_subspaces(field: Field, k: int, r: int,
-                             budget: Optional[int] = None,
-                             ) -> Iterator[System]:
+def enumerate_rank_subspaces(field: Field, k: int, r: int) -> Iterator[System]:
     """Every rank-r F_q-subspace of F_{q^m}^k exactly once (echelon walk)."""
     q = field.q
     ncols = field.m * k
-    total = gaussian_binomial(ncols, r, q)
-    cap = budget if budget is not None else config.SEARCH_NODE_BUDGET
-    if total > cap:
-        raise BudgetExceeded(f"{total} subspaces exceed budget {cap}")
+    config.check_budget("SEARCH_NODE_BUDGET", gaussian_binomial(ncols, r, q),
+                        f"rank-{r} subspaces")
     mids = np.asarray(field.subfield_elements("mid"), dtype=np.int64)
     for block in echelon_blocks(r, ncols, q, 1024):
         # the rows are already the canonical F_q-RREF
@@ -408,13 +401,14 @@ class SearchTask:
     rank_lo: int
     rank_hi: int
     reduction: str = "canonical"
-    node_budget: Optional[int] = None
     checkpoint: Optional[str] = None
 
     def __post_init__(self):
         _check_rho(self.k, self.field.m, self.rho)
         if self.rank_lo < self.rho:
             raise InvalidParams("rank range must start at rho or above")
+        if self.rank_hi < self.rank_lo:
+            raise InvalidParams(f"empty rank range {self.rank_lo}..{self.rank_hi}")
         if self.reduction not in ("naive", "canonical", "graph"):
             raise InvalidParams(f"unknown reduction {self.reduction!r}")
         if self.reduction == "graph" and not (self.k == 3 and self.field.m == 4):
@@ -470,11 +464,9 @@ def _search_rank(task: SearchTask, rank: int) -> RankOutcome:
             return RankOutcome(rank, u, examined, task.reduction, "construction hint")
     note = ""
     if task.reduction == "naive":
-        candidates = enumerate_rank_subspaces(field, k, rank,
-                                              budget=task.node_budget)
+        candidates = enumerate_rank_subspaces(field, k, rank)
     elif task.reduction == "canonical":
-        reps = orbit_representatives(field, k, rank - 1,
-                                     node_budget=task.node_budget)
+        reps = orbit_representatives(field, k, rank - 1)
         candidates = _extensions(field, k, reps[rank - 1], rank)
         note = (f"orbit cover: {len(reps[rank - 1])} representatives at "
                 f"rank {rank - 1}, all single-generator extensions checked")
@@ -544,18 +536,17 @@ def _save_checkpoint(task: SearchTask, outcomes: list[RankOutcome]):
 def _task_fingerprint(task: SearchTask) -> str:
     return (f"{task.field.describe()} k={task.k} rho={task.rho} "
             f"range={task.rank_lo}..{task.rank_hi} red={task.reduction} "
-            f"budget={task.node_budget}")
+            f"budget={config.SEARCH_NODE_BUDGET}")
 
 
-def search_table(field: Field, k_max: int, budget: Optional[int] = None,
-                 ) -> dict[tuple[int, int], Optional[int]]:
+def search_table(field: Field,
+                 k_max: int) -> dict[tuple[int, int], Optional[int]]:
     """Minimal-rank table s(k, rho) by naive search at tiny parameters."""
     out = {}
     for k in range(2, k_max + 1):
         for rho in range(1, min(k, field.m) + 1):
             task = SearchTask(field, k, rho, rank_lo=rho,
-                              rank_hi=field.m * k, reduction="naive",
-                              node_budget=budget)
+                              rank_hi=field.m * k, reduction="naive")
             res = min_rank_search(task)
             out[(k, rho)] = res.value
     return out

@@ -64,3 +64,17 @@ def test_negative_search_claim_is_stated():
 def test_bad_magic_rejected():
     with pytest.raises(ValueError):
         Certificate.loads("not a certificate\n")
+
+
+def test_malformed_claims_are_usage_errors():
+    # a missing parameter or system is a malformed certificate, not a
+    # falsified claim: ValueError, named, before anything is recomputed
+    u = moore_system(MooreParams(F8, 2, 2))
+    no_rho = Certificate.loads(Certificate.for_system(u).dumps()
+                               + "claim saturating result=true\n")
+    with pytest.raises(ValueError, match="claim saturating lacks the parameter rho"):
+        verify_certificate(no_rho)
+    no_gen = Certificate.loads(Certificate(F8, 2).dumps()
+                               + "claim rank value=0\n")
+    with pytest.raises(ValueError, match="claim rank needs a system"):
+        verify_certificate(no_gen)

@@ -3,6 +3,7 @@
 import json
 import os
 
+from ranksat import config
 from ranksat.cli import main
 
 def run(argv):
@@ -128,3 +129,65 @@ def test_reproduce_case_sweep_rejects_odd_q(capsys):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "even q" in captured.err
+
+
+def _pin_config(monkeypatch):
+    # --config sets module globals that outlive the call; monkeypatch restores
+    for name in [n for n in vars(config) if n.isupper()]:
+        monkeypatch.setattr(config, name, getattr(config, name))
+
+
+def test_config_file_budget_exits_3(tmp_path, capsys, monkeypatch):
+    _pin_config(monkeypatch)
+    cert = str(tmp_path / "moore.cert")
+    assert run(["construct", "moore", "--q", "2", "--m", "3", "--rho", "2",
+                "--t", "2", "--cert", cert]) == 0
+    cfg = tmp_path / "budgets.json"
+    cfg.write_text(json.dumps({"point_budget": 10}))
+    capsys.readouterr()
+    assert run(["--config", str(cfg), "check", "saturating", "--q", "2",
+                "--m", "3", "--k", "4", "--rho", "2", "--system", cert]) == 3
+    assert "point_budget = 10" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"no_such_budget": 1}))
+    assert run(["--config", str(cfg), "bounds", "--q", "3", "--m", "4",
+                "--k", "3", "--rho", "2"]) == 2
+    assert "no_such_budget" in capsys.readouterr().err
+
+
+def _assert_usage_error(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_certificate_exits_2(tmp_path, capsys):
+    cert = str(tmp_path / "m.cert")
+    assert run(["construct", "moore", "--q", "2", "--m", "2", "--rho", "2",
+                "--t", "2", "--cert", cert]) == 0
+    text = open(cert).read()
+    no_rho = tmp_path / "no_rho.cert"
+    no_rho.write_text(text + "claim saturating result=true\n")
+    no_gen = tmp_path / "no_gen.cert"
+    no_gen.write_text("".join(ln + "\n" for ln in text.splitlines()
+                              if not ln.startswith(("gen ", "claim ")))
+                      + "claim rank value=0\n")
+    capsys.readouterr()
+    for path in (no_rho, no_gen):
+        _assert_usage_error(capsys, ["verify-cert", str(path)])
+
+
+def test_appendix_encodings_outside_the_field_exit_2(capsys):
+    for extra in (["identities", "--c", "999"], ["identities", "--c", "-1"],
+                  ["gamma", "--alpha", "99"]):
+        _assert_usage_error(capsys, ["appendix", extra[0], "--q", "2",
+                                     "--alpha", "6", "--beta", "8"] + extra[1:])
+
+
+def test_search_empty_rank_range_exits_2(capsys):
+    _assert_usage_error(capsys, ["search", "--q", "2", "--m", "2", "--k", "2",
+                                 "--rho", "1", "--rank-min", "3",
+                                 "--rank-max", "2"])
+
+
+def test_field_has_no_a_option(capsys):
+    assert run(["field", "--q", "4", "--a", "2", "--m", "2"]) == 2

@@ -11,6 +11,7 @@ from ranksat import identities
 from ranksat.constructions import normalized_alphas, normalized_betas
 from ranksat.errors import (
     DivisionNotExact,
+    FieldMismatch,
     IdentityViolation,
     InternalInconsistency,
     InvalidBeta,
@@ -62,6 +63,17 @@ def test_context_validation():
         AppendixContext(field_create(2, 1, 3), 1, 1)  # m != 4
     with pytest.raises(InvalidCaseParams):
         AppendixContext(field_create(3, 1, 4), 1, 1)  # odd q
+
+
+def test_encodings_outside_the_field_are_rejected():
+    for alpha, beta in ((99, 8), (6, 16), (-1, 8), (6, -3)):
+        with pytest.raises(FieldMismatch):
+            AppendixContext(F16, alpha, beta)
+    for c in (16, 999, -1):
+        with pytest.raises(FieldMismatch):
+            verify_identities(ctx16(), c, numeric=False)
+    with pytest.raises(FieldMismatch):
+        delta_sets(F16, 99, 0)
 
 
 def test_qpoly_folding_is_function_canonical():

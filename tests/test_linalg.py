@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from ranksat import config
 from ranksat.errors import BudgetExceeded, FieldMismatch
 from ranksat.gf import field_create
 from ranksat.linalg import (
@@ -142,10 +143,11 @@ def test_enumerate_subspace_counts():
             assert fqm_subspace(F16, 3, rows).rows == rows
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
     u = system_create(F16, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    monkeypatch.setattr(config, "SUBSPACE_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        is_h_scattered(u, 1, budget=10)
+        is_h_scattered(u, 1)
 
 
 def test_fq_span_dim():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ranksat import config
 from ranksat.constructions import MooreParams, moore_system
 from ranksat.errors import (BudgetExceeded, InternalInconsistency, InvalidParams,
                             InvalidRho)
@@ -232,15 +233,17 @@ def test_checkpoint_roundtrip(tmp_path):
     assert res2.value == 2
 
 
-def test_checkpoint_keyed_by_node_budget(tmp_path):
+def test_checkpoint_keyed_by_node_budget(tmp_path, monkeypatch):
     ck = str(tmp_path / "ck.json")
+    monkeypatch.setattr(config, "SEARCH_NODE_BUDGET", 1000)
     res = min_rank_search(SearchTask(F4, 2, 1, 1, 3, reduction="naive",
-                                     node_budget=1000, checkpoint=ck))
+                                     checkpoint=ck))
     assert res.value == 3
     # rank 1 alone has 15 subspaces: a reused checkpoint would hide that
+    monkeypatch.setattr(config, "SEARCH_NODE_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
         min_rank_search(SearchTask(F4, 2, 1, 1, 3, reduction="naive",
-                                   node_budget=1, checkpoint=ck))
+                                   checkpoint=ck))
 
 
 def test_construction_hint_faults_propagate(monkeypatch):
@@ -258,6 +261,8 @@ def test_construction_hint_faults_propagate(monkeypatch):
 def test_task_validation():
     with pytest.raises(InvalidParams):
         SearchTask(F4, 2, 2, 1, 4)  # rank range below rho
+    with pytest.raises(InvalidParams):
+        SearchTask(F4, 2, 1, 3, 2)  # empty rank range
     with pytest.raises(InvalidParams):
         SearchTask(F4, 2, 1, 1, 2, reduction="mystery")
     with pytest.raises(InvalidParams):
