@@ -94,9 +94,9 @@ class Certificate:
 
     @classmethod
     def loads(cls, text: str) -> "Certificate":
-        lines = [ln.rstrip("\n") for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-        if not lines or lines[0].strip() != MAGIC:
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
+                 if ln.strip() and not ln.lstrip().startswith("#")]
+        if not lines or lines[0][1].strip() != MAGIC:
             raise ValueError("missing certificate magic line")
         fld = None
         k = None
@@ -104,29 +104,34 @@ class Certificate:
         claims = []
         findings = []
         prov = {}
-        for ln in lines[1:]:
+        for n, ln in lines[1:]:
             head = ln.split(None, 1)[0]
-            if head == "field":
-                fld = parse_field_line(ln)
-            elif head == "ambient":
-                k = int(ln.split("k=")[1])
-            elif head == "gen":
-                gens.append(tuple(int(v) for v in ln.split()[1:]))
-            elif head == "claim":
-                parts = ln.split()
-                claim = {"kind": parts[1]}
-                for part in parts[2:]:
-                    key, val = part.split("=", 1)
-                    claim[key] = _parse_value(val)
-                claims.append(claim)
-            elif head == "finding":
-                findings.append(ln)
-            elif head == "provenance":
-                for part in ln.split()[1:]:
-                    key, val = part.split("=", 1)
-                    prov[key] = val
-            else:
-                raise ValueError(f"unknown certificate record {head!r}")
+            if head not in ("field", "ambient", "gen", "claim", "finding",
+                            "provenance"):
+                raise ValueError(f"line {n}: unknown certificate record {head!r}")
+            try:
+                if head == "field":
+                    fld = parse_field_line(ln)
+                elif head == "ambient":
+                    k = int(ln.split("k=")[1])
+                elif head == "gen":
+                    gens.append(tuple(int(v) for v in ln.split()[1:]))
+                elif head == "claim":
+                    parts = ln.split()
+                    claim = {"kind": parts[1]}
+                    for part in parts[2:]:
+                        key, val = part.split("=", 1)
+                        claim[key] = _parse_value(val)
+                    claims.append(claim)
+                elif head == "finding":
+                    findings.append(ln)
+                else:
+                    for part in ln.split()[1:]:
+                        key, val = part.split("=", 1)
+                        prov[key] = val
+            except (IndexError, KeyError, ValueError) as exc:
+                raise ValueError(
+                    f"line {n}: malformed {head} record {ln.strip()!r}") from exc
         if fld is None or k is None:
             raise ValueError("certificate lacks field or ambient lines")
         return cls(fld, k, gens, claims, findings, prov)

@@ -65,13 +65,24 @@ def _load_system(field, k, path):
 
 
 def _apply_config_file(path):
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read config file {path}: {exc.strerror}") from exc
+    if not isinstance(data, dict):
+        raise argparse.ArgumentTypeError(
+            f"config file {path} holds {type(data).__name__}, not a JSON object")
     for key, val in data.items():
         name = key.upper()
         if not hasattr(config, name):
             raise argparse.ArgumentTypeError(f"unknown config key {key!r}")
-        setattr(config, name, int(val))
+        try:
+            setattr(config, name, int(val))
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"config key {key!r} needs an integer, not {val!r}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -249,6 +249,8 @@ def case_system(fld: Field, case: int, alpha: int = 0, beta: int = 0) -> System:
     """The four rank-m normal forms in V(3, q^4)."""
     if fld.m != 4:
         raise InvalidCaseParams("case systems live in V(3, q^4): need m = 4")
+    fld.check(alpha)
+    fld.check(beta)
     if case == 1:
         return _graph_system(fld, {1: 1}, {2: 1})
     if case == 2:

@@ -5,8 +5,10 @@ matrices composed with field automorphisms) is the minimum, over the group,
 of the sorted encoding tuple of the image vector set, computed by a
 position-wise minimal-image walk over partial linear maps.  Orbit
 enumeration runs rank by rank: exact canonical dedup below the target rank,
-then a direct check of every single-generator extension at the target rank,
-which is a sound orbit cover without canonicalizing at the top.
+then a direct check of the single-generator extensions at the target rank,
+which is a sound orbit cover without canonicalizing at the top.  A
+representative U is extended only by the vectors of its F_{q^m}-span and by
+one vector outside it (the stabilizer argument in orbit_representatives).
 
 A vector (z_0, ..., z_{k-1}) of F_{p^n}^k is encoded as the integer
 sum z_i * p^(n(k-1-i)), that is, as the base-p digit string of its
@@ -102,6 +104,17 @@ def _vec_ops(field: Field, k: int) -> _VecOps:
     return ops
 
 
+def _fqm_span(ops: _VecOps, gens) -> set:
+    """Every encoded vector in the F_{q^m}-span of the encoded gens."""
+    cur = {0}
+    for g in gens:
+        if g in cur:
+            continue
+        mults = [ops.scmul(c, g) for c in range(ops.field.order)]
+        cur = {ops.add(a, m) for a in cur for m in mults}
+    return cur
+
+
 class _Chart:
     """Echelonized partial linear map on encoded vectors.
 
@@ -135,12 +148,7 @@ class _Chart:
     def span_set(self) -> set:
         """Every encoded vector in the span of the images (cached)."""
         if self._span is None:
-            ops = self.ops
-            cur = {0}
-            for img in self.imgs:
-                mults = [ops.scmul(c, img) for c in range(ops.field.order)]
-                cur = {ops.add(a, m) for a in cur for m in mults}
-            self._span = cur
+            self._span = _fqm_span(self.ops, self.imgs)
         return self._span
 
     def pin(self, uenc: int, wenc: int) -> "_Chart":
@@ -282,39 +290,71 @@ def _key_system(field: Field, k: int, key: tuple[int, ...]) -> System:
 
 def _extensions(field: Field, k: int, reps: list[System],
                 rank: int) -> Iterator[System]:
-    """Each distinct rank-`rank` span of a representative and one more
-    vector, in a fixed order."""
-    ambient = [_dec_vector(field, enc, k) for enc in range(1, field.order ** k)]
+    """Each distinct rank-`rank` span of a representative U and one more
+    vector v, in a fixed order: every v in W, the F_{q^m}-span of U, and the
+    first vector outside W (see orbit_representatives).  The v of each U
+    come in encoding order, a subsequence of the nonzero vectors."""
+    ops = _vec_ops(field, k)
     seen: set = set()
     for base in reps:
-        for v in ambient:
-            cand = system_create(field, k, list(base.basis) + [list(v)])
+        inside = _fqm_span(ops, [_enc_vector(field, b) for b in base.basis])
+        vecs = sorted(inside)
+        if len(vecs) < ops.space:
+            # the first gap in the sorted encodings is the least one outside W
+            gap = next((i for i, e in enumerate(vecs) if i != e), len(vecs))
+            vecs.insert(gap, gap)
+        for enc in vecs[1:]:
+            cand = system_create(field, k,
+                                 list(base.basis) + [_dec_vector(field, enc, k)])
             if cand.rank != rank or cand.canonical in seen:
                 continue
             seen.add(cand.canonical)
             yield cand
 
 
-def orbit_representatives(field: Field, k: int,
-                          max_rank: int) -> dict[int, list[System]]:
-    """Semilinear orbit representatives of subspaces up to max_rank.
+class _OrbitWalk:
+    """Orbit representatives rank by rank, labelled only as far as asked;
+    the node budget counts every labelled candidate since rank 1."""
 
-    Complete by induction: every rank-r subspace contains a rank-(r-1)
-    subspace, so extending every representative by every vector covers
-    every orbit at the next rank.  Each representative is the system
-    spanned by its canonical key, as canonical_reduce returns it."""
-    reps: dict[int, list[System]] = {0: [system_create(field, k, [])]}
-    nodes = 0
-    for r in range(1, max_rank + 1):
+    def __init__(self, field: Field, k: int):
+        self.field, self.k = field, k
+        self.levels: list[list[System]] = [[system_create(field, k, [])]]
+        self.nodes = 0
+
+    def grow(self):
+        field, k = self.field, self.k
         seen: dict = {}
-        for cand in _extensions(field, k, reps[r - 1], r):
-            nodes += 1
-            config.check_budget("SEARCH_NODE_BUDGET", nodes, "orbit-walk nodes")
+        for cand in _extensions(field, k, self.levels[-1], len(self.levels)):
+            self.nodes += 1
+            config.check_budget("SEARCH_NODE_BUDGET", self.nodes,
+                                "orbit-walk nodes")
             key = canonical_key(cand)
             if key not in seen:
                 seen[key] = _key_system(field, k, key)
-        reps[r] = list(seen.values())
-    return reps
+        self.levels.append(list(seen.values()))
+
+
+def orbit_representatives(field: Field, k: int, max_rank: int,
+                          walk: Optional[_OrbitWalk] = None,
+                          ) -> dict[int, list[System]]:
+    """Semilinear orbit representatives of subspaces up to max_rank.
+
+    Complete by induction: every rank-r subspace V contains a rank-(r-1)
+    subspace, which some semilinear map g sends to a representative U, so
+    g(V) = U + <v> for a vector v.  Let W be the F_{q^m}-span of U.  For any
+    two vectors v, v' outside W, some matrix fixes W pointwise and sends v
+    to v'; it fixes U, so it sends U + <v> to U + <v'>.  Extending U by
+    every vector of W and by one vector outside W therefore covers every
+    orbit at the next rank.  Each representative is the system spanned by
+    its canonical key, as canonical_reduce returns it.
+
+    A given walk (an _OrbitWalk of the same field and k) keeps the ranks it
+    has labelled, so a later call labels only the ranks above them."""
+    if walk is None:
+        walk = _OrbitWalk(field, k)
+    while len(walk.levels) <= max_rank:
+        walk.grow()
+    return dict(enumerate(walk.levels[:max_rank + 1]))
 
 
 def enumerate_rank_subspaces(field: Field, k: int, r: int) -> Iterator[System]:
@@ -440,13 +480,14 @@ def min_rank_search(task: SearchTask) -> SearchResult:
     sweep under the stated reduction."""
     outcomes = []
     done = _load_checkpoint(task)
+    walk = _OrbitWalk(task.field, task.k)
     for rank in range(task.rank_lo, task.rank_hi + 1):
         if rank in done:
             outcomes.append(done[rank])
             if done[rank].found is not None:
                 return SearchResult(rank, outcomes, task)
             continue
-        outcome = _search_rank(task, rank)
+        outcome = _search_rank(task, rank, walk)
         outcomes.append(outcome)
         _save_checkpoint(task, outcomes)
         if outcome.found is not None:
@@ -454,7 +495,7 @@ def min_rank_search(task: SearchTask) -> SearchResult:
     return SearchResult(None, outcomes, task)
 
 
-def _search_rank(task: SearchTask, rank: int) -> RankOutcome:
+def _search_rank(task: SearchTask, rank: int, walk: _OrbitWalk) -> RankOutcome:
     field, k, rho = task.field, task.k, task.rho
     examined = 0
     for hint in _construction_hints(field, k, rho, rank):
@@ -466,10 +507,11 @@ def _search_rank(task: SearchTask, rank: int) -> RankOutcome:
     if task.reduction == "naive":
         candidates = enumerate_rank_subspaces(field, k, rank)
     elif task.reduction == "canonical":
-        reps = orbit_representatives(field, k, rank - 1)
-        candidates = _extensions(field, k, reps[rank - 1], rank)
-        note = (f"orbit cover: {len(reps[rank - 1])} representatives at "
-                f"rank {rank - 1}, all single-generator extensions checked")
+        reps = orbit_representatives(field, k, rank - 1, walk)[rank - 1]
+        candidates = _extensions(field, k, reps, rank)
+        note = (f"orbit cover: {len(reps)} representatives at rank "
+                f"{rank - 1}, each extended by every vector of its "
+                f"F_q^m-span and one vector outside it")
     else:
         if rank != field.m:
             raise InvalidParams("graph reduction only covers rank = m")

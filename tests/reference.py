@@ -7,6 +7,8 @@ package under test.
 
 from __future__ import annotations
 
+import itertools
+
 
 class RefField:
     """Reference F_p[x]/(modulus) arithmetic on integer encodings."""
@@ -134,3 +136,35 @@ def ref_point_saturated(field, points, target, rho):
         return False
 
     return rec(0, [])
+
+
+def ref_orbit_keys(field, k, max_rank, scalars, label):
+    """Orbit keys by rank from the plain, unpruned extension walk.
+
+    Each representative, kept as its generator list and its vector set, is
+    extended by every nonzero vector of F_{q^m}^k; each distinct span is
+    named by label(generators), and the first span per name represents its
+    orbit.  scalars are the field encodings of F_q.
+    """
+    vectors = [v for v in itertools.product(range(field.order), repeat=k) if any(v)]
+
+    def grow(span, v):
+        return frozenset(tuple(field.add(a, field.mul(c, b)) for a, b in zip(u, v))
+                         for u in span for c in scalars)
+
+    reps = [([], frozenset([(0,) * k]))]
+    keys = {0: {label([])}}
+    for r in range(1, max_rank + 1):
+        spans, found = set(), {}
+        for gens, span in reps:
+            for v in vectors:
+                if v in span:
+                    continue
+                new = grow(span, v)
+                if new in spans:
+                    continue
+                spans.add(new)
+                found.setdefault(label(gens + [v]), (gens + [v], new))
+        reps = list(found.values())
+        keys[r] = set(found)
+    return keys

@@ -78,3 +78,14 @@ def test_malformed_claims_are_usage_errors():
                                + "claim rank value=0\n")
     with pytest.raises(ValueError, match="claim rank needs a system"):
         verify_certificate(no_gen)
+
+
+@pytest.mark.parametrize("record", [
+    "field p=2 m=3", "field p=2 a=1 m=3 modulus=[1,x]", "ambient 3",
+    "ambient k=three", "gen 1 x 2", "claim", "claim rank value", "provenance tool"])
+def test_malformed_records_name_their_line(record):
+    # each record kind that carries fields; a finding is free text
+    lines = Certificate.for_system(moore_system(MooreParams(F8, 2, 2))).dumps().splitlines()
+    lines.insert(3, record)
+    with pytest.raises(ValueError, match=rf"^line 4: malformed {record.split()[0]} record"):
+        Certificate.loads("\n".join(lines) + "\n")

@@ -158,6 +158,21 @@ def _assert_usage_error(capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_config_file_faults_exit_2(tmp_path, capsys, monkeypatch):
+    _pin_config(monkeypatch)
+    bounds = ["bounds", "--q", "3", "--m", "4", "--k", "3", "--rho", "2"]
+    err = _assert_usage_error(capsys, ["--config", str(tmp_path / "nope.json")]
+                              + bounds)
+    assert "nope.json" in err
+    cfg = tmp_path / "cfg.json"
+    for data, message in (([{"point_budget": 10}], "not a JSON object"),
+                          ({"point_budget": None}, "needs an integer")):
+        cfg.write_text(json.dumps(data))
+        err = _assert_usage_error(capsys, ["--config", str(cfg)] + bounds)
+        assert message in err
 
 
 def test_malformed_certificate_exits_2(tmp_path, capsys):
@@ -171,8 +186,10 @@ def test_malformed_certificate_exits_2(tmp_path, capsys):
     no_gen.write_text("".join(ln + "\n" for ln in text.splitlines()
                               if not ln.startswith(("gen ", "claim ")))
                       + "claim rank value=0\n")
+    bare_claim = tmp_path / "bare_claim.cert"
+    bare_claim.write_text(text + "claim\n")
     capsys.readouterr()
-    for path in (no_rho, no_gen):
+    for path in (no_rho, no_gen, bare_claim):
         _assert_usage_error(capsys, ["verify-cert", str(path)])
 
 
@@ -181,6 +198,13 @@ def test_appendix_encodings_outside_the_field_exit_2(capsys):
                   ["gamma", "--alpha", "99"]):
         _assert_usage_error(capsys, ["appendix", extra[0], "--q", "2",
                                      "--alpha", "6", "--beta", "8"] + extra[1:])
+
+
+def test_construct_case_encodings_outside_the_field_exit_2(capsys):
+    for extra in (["--case", "2", "--alpha", "999"], ["--case", "3", "--alpha", "-1"],
+                  ["--case", "4", "--alpha", "1", "--beta", "16"]):
+        err = _assert_usage_error(capsys, ["construct", "case", "--q", "2"] + extra)
+        assert "outside [0, 16)" in err
 
 
 def test_search_empty_rank_range_exits_2(capsys):

@@ -14,6 +14,7 @@ from ranksat.linalg import fqm_rank, gaussian_binomial, system_create
 from ranksat.rankcov import is_rank_saturating
 from ranksat.search import (
     SearchTask,
+    _extensions,
     _gl_minimal_key,
     canonical_key,
     canonical_reduce,
@@ -24,6 +25,8 @@ from ranksat.search import (
     orbit_representatives,
     search_table,
 )
+
+from .reference import ref_orbit_keys
 
 F4 = field_create(2, 1, 2)
 F8 = field_create(2, 1, 3)
@@ -139,6 +142,33 @@ def test_orbit_representatives_cover():
     assert seen == keys
 
 
+@pytest.mark.parametrize("fld, k, max_rank", [(F4, 3, 4), (F8, 3, 3), (F9, 2, 3)],
+                         ids=["q2-m2-k3", "q2-m3-k3", "q3-m2-k2"])
+def test_pruned_walk_matches_unpruned(fld, k, max_rank):
+    # the stabilizer-pruned walk finds the orbits that extending every
+    # representative by every vector finds
+    reps = orbit_representatives(fld, k, max_rank)
+    ref = ref_orbit_keys(fld, k, max_rank, fld.subfield_elements("mid"),
+                         lambda gens: canonical_key(system_create(fld, k, gens)))
+    for r in range(max_rank + 1):
+        keys = [canonical_key(u) for u in reps[r]]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == ref[r]
+
+
+def test_extensions_take_one_vector_outside_the_span():
+    # in V(3, 4) some rank-3 representatives span a proper F_4-subspace W:
+    # each is extended inside W and by exactly one vector outside it
+    proper = 0
+    for u in orbit_representatives(F4, 3, 3)[3]:
+        dim_w = fqm_rank(F4, u.basis)
+        outside = [c for c in _extensions(F4, 3, [u], 4)
+                   if fqm_rank(F4, c.basis) > dim_w]
+        assert len(outside) == (dim_w < 3)
+        proper += dim_w < 3
+    assert proper
+
+
 def test_enumerate_rank_subspaces_counts():
     n = gaussian_binomial(4, 2, 2)
     subs = list(enumerate_rank_subspaces(F4, 2, 2))
@@ -188,6 +218,23 @@ def test_naive_vs_canonical_small():
         vn = {o.rank: o.found is not None for o in rn.outcomes}
         vc = {o.rank: o.found is not None for o in rc.outcomes}
         assert vn == vc
+
+
+def test_search_walks_the_orbits_once(monkeypatch):
+    # the covers at ranks 3 and 4 of (q, m, k, rho) = (2, 3, 3, 2) need the
+    # orbits up to rank 3: one walk labels them once, and the rank-4 witness
+    # stops it before it labels rank 4
+    import ranksat.search as search
+    calls = []
+    monkeypatch.setattr(search, "canonical_key",
+                        lambda u: calls.append(u.rank) or canonical_key(u))
+    res = min_rank_search(SearchTask(F8, 3, 2, 3, 5, reduction="canonical"))
+    assert res.value == 4
+    assert sorted(set(calls)) == [1, 2, 3]
+    searched = len(calls)
+    walk = search._OrbitWalk(F8, 3)
+    orbit_representatives(F8, 3, 3, walk)
+    assert searched == walk.nodes
 
 
 def test_naive_vs_canonical_odd_characteristic():
